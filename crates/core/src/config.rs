@@ -90,7 +90,9 @@ pub struct MidasConfig {
     /// generation and profit evaluation). `1` = fully sequential. Any value
     /// produces node-for-node identical hierarchies: parallel phases only
     /// compute, and all structural mutation happens in a deterministic
-    /// sequential merge.
+    /// sequential merge. A build issued from a pool worker (every
+    /// framework source task) runs sequentially whatever this says; see
+    /// [`crate::parallel::effective_threads`].
     pub threads: usize,
     /// Per-source execution budget enforced by the framework rounds. Three
     /// knobs, all unlimited by default:

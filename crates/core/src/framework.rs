@@ -13,7 +13,9 @@
 //!    sponsored by NASA" displaces the two page slices it covers).
 //!
 //! Shards are independent, so each round is processed by a small thread pool
-//! (the paper used MapReduce with the same keying).
+//! (the paper used MapReduce with the same keying). This is the one level
+//! the pool parallelises: a shard's own hierarchy build runs inline on its
+//! worker (see [`crate::parallel`]).
 //!
 //! ### Streaming pipeline
 //!

@@ -23,7 +23,7 @@ use midas_kb::fnv::{FnvHashMap, FnvHashSet};
 use crate::config::MidasConfig;
 use crate::extent::ExtentSet;
 use crate::fact_table::{EntityId, FactTable, PropertyId};
-use crate::parallel::par_map;
+use crate::parallel::{effective_threads, par_map};
 use crate::profit::ProfitCtx;
 
 /// Construction/patch telemetry: how much evaluation work hierarchies do,
@@ -488,8 +488,11 @@ impl SliceHierarchy {
             return;
         }
         let ids: Vec<NodeId> = self.levels.get(l).cloned().unwrap_or_default();
-        if config.threads > 1 && ids.len() > 1 {
-            self.generate_parents_parallel(table, config.threads, ids);
+        // Inside a pool worker `effective_threads` is 1: the build takes the
+        // sequential path, exactly as at `threads = 1`.
+        let threads = effective_threads(config.threads);
+        if threads > 1 && ids.len() > 1 {
+            self.generate_parents_parallel(table, threads, ids);
         } else {
             self.generate_parents_sequential(table, ids);
         }
@@ -1503,6 +1506,23 @@ mod tests {
         let h1 = SliceHierarchy::build(&ft, &ctx, &cfg_np);
         let h4 = SliceHierarchy::build(&ft, &ctx, &cfg_np.clone().with_threads(4));
         assert_hierarchies_identical(&h1, &h4);
+    }
+
+    /// A `threads = 4` build issued from a pool worker runs inline (the
+    /// framework's per-source tasks build this way) and must still be
+    /// node-for-node identical to `threads = 1`.
+    #[test]
+    fn build_inside_a_pool_worker_is_node_for_node_identical() {
+        let mut t = Interner::new();
+        let (ft, cfg) = build_running_example(&mut t);
+        let ctx = ProfitCtx::new(&ft, cfg.cost);
+        let h1 = SliceHierarchy::build(&ft, &ctx, &cfg);
+        let cfg4 = cfg.clone().with_threads(4);
+        let built =
+            crate::parallel::par_map(4, vec![0, 1], |_| SliceHierarchy::build(&ft, &ctx, &cfg4));
+        for h4 in &built {
+            assert_hierarchies_identical(&h1, h4);
+        }
     }
 
     /// Warm-patching last round's hierarchy after a KB insertion delta must

@@ -21,6 +21,16 @@
 //! infallible signature (a faulting task re-raises after all surviving
 //! results are collected) so existing callers see byte-identical behaviour.
 //!
+//! The pool has **one level of parallelism**: a map issued from a pool
+//! worker runs inline on that worker, through the same sequential loop a
+//! `threads = 1` map takes (see [`effective_threads`]). Work is independent
+//! per source, so the parallelism belongs at the outermost map — the
+//! framework's per-source rounds — and a hierarchy built inside a source's
+//! task must not open a second pool per level. Effective concurrency is
+//! `min(threads, items, window)` for a map issued from any other thread,
+//! and 1 inside a worker. The inline route is the `threads = 1` code, so
+//! outputs stay bit-identical at every thread count.
+//!
 //! When the calling thread holds an active [`crate::budget::BudgetScope`]
 //! with a wall-clock deadline, the collection loop switches from blocking
 //! `recv` to `recv_timeout` against that deadline: a pool whose workers are
@@ -90,6 +100,24 @@ fn sample_span() -> bool {
         c.set(v.wrapping_add(1));
         v % SPAN_SAMPLE_EVERY == 0
     })
+}
+
+thread_local! {
+    /// Set for the lifetime of every pool worker thread: maps issued from
+    /// it run inline (see [`effective_threads`]).
+    static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The number of threads a map issued from this thread actually uses:
+/// `threads` on any thread outside the pool, 1 on a pool worker. Nested
+/// maps run inline on the worker that issued them, so a source task never
+/// spawns threads of its own.
+pub fn effective_threads(threads: usize) -> usize {
+    if threads > 1 && IN_WORKER.with(|w| w.get()) {
+        1
+    } else {
+        threads
+    }
 }
 
 /// A fault raised by one task of a parallel map: which item faulted and why.
@@ -170,9 +198,10 @@ fn finish_slot<R>(index: usize, out: Option<Result<R, FaultCause>>) -> Result<R,
 /// per item, faulted or not.
 ///
 /// Every task runs isolated (see [`par_map_isolated`]); deadline handling,
-/// fault conversion, and the sequential fallback for `threads <= 1` are
-/// identical, so a streamed run produces bit-identical sink invocations at
-/// every `(window, threads)` combination.
+/// fault conversion, and the sequential fallback — taken for `threads <= 1`,
+/// fewer than two items, or a call from a pool worker — are identical, so a
+/// streamed run produces bit-identical sink invocations at every
+/// `(window, threads)` combination.
 pub fn par_map_streamed<T, R, F, S>(threads: usize, window: usize, items: Vec<T>, f: F, mut sink: S)
 where
     T: Send,
@@ -186,7 +215,8 @@ where
     // without an atomic bump on each sub-microsecond task.
     metrics::TASKS.add(n as u64);
     let deadline = budget::active_deadline();
-    if threads <= 1 || n <= 1 {
+    // `effective_threads` last, so 1-thread maps never touch the TLS flag.
+    if threads <= 1 || n <= 1 || effective_threads(threads) <= 1 {
         for (index, item) in items.into_iter().enumerate() {
             if let Some(d) = deadline {
                 if Instant::now() >= d {
@@ -219,6 +249,7 @@ where
             let f = &f;
             let cancelled = &cancelled;
             scope.spawn(move |_| {
+                IN_WORKER.with(|w| w.set(true));
                 while let Ok((i, item, enqueued_ns)) = task_rx.recv() {
                     // After cancellation we still drain the queue so the
                     // collector sees exactly one marker per admitted item,
@@ -328,8 +359,9 @@ where
 /// count — fault positions never perturb the order or values of surviving
 /// results.
 ///
-/// With `threads <= 1` (or fewer than two items) this degrades to a plain
-/// sequential loop with no thread or channel overhead.
+/// With `threads <= 1`, fewer than two items, or when called from a pool
+/// worker, this degrades to a plain sequential loop with no thread or
+/// channel overhead.
 pub fn par_map_isolated<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<Result<R, TaskFault>>
 where
     T: Send,
@@ -352,9 +384,10 @@ where
 /// panic re-raises on the calling thread — but only after every other task
 /// has run to completion, so sibling work is never torn down mid-flight.
 ///
-/// With `threads <= 1` (or fewer than two items) this degrades to a plain
-/// sequential map with no thread or channel overhead, so callers can pass
-/// a configured thread count straight through.
+/// With `threads <= 1`, fewer than two items, or when called from a pool
+/// worker, this degrades to a plain sequential map with no thread or
+/// channel overhead, so callers can pass a configured thread count
+/// straight through.
 pub fn par_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -574,6 +607,124 @@ mod tests {
             out.iter().any(|r| r.is_err()),
             "later tasks must observe the elapsed deadline"
         );
+    }
+
+    /// Runs `body` once as the task of a 4-thread streamed map, so it
+    /// executes on a pool worker.
+    fn on_worker<R: Send>(body: impl Fn() -> R + Sync) -> R {
+        let mut out = None;
+        par_map_streamed(
+            4,
+            4,
+            vec![(), ()],
+            |()| body(),
+            |i, r| {
+                if i == 0 {
+                    out = Some(r.expect("worker body does not fault"));
+                }
+            },
+        );
+        out.expect("sink saw item 0")
+    }
+
+    #[test]
+    fn nested_map_runs_inline_on_the_worker() {
+        let (worker, ran_on) = on_worker(|| {
+            let me = std::thread::current().id();
+            (
+                me,
+                par_map(4, (0..32).collect(), |_: u32| std::thread::current().id()),
+            )
+        });
+        assert_ne!(worker, std::thread::current().id(), "body ran on a worker");
+        assert!(
+            ran_on.iter().all(|&id| id == worker),
+            "every nested item ran on its worker"
+        );
+    }
+
+    #[test]
+    fn nested_map_preserves_order_and_faults() {
+        let out = on_worker(|| {
+            par_map_isolated(4, (0u32..20).collect(), |x| {
+                if x % 6 == 1 {
+                    panic!("nested fault at {x}");
+                }
+                x * 3
+            })
+        });
+        assert_eq!(out.len(), 20);
+        for (i, r) in out.iter().enumerate() {
+            if i % 6 == 1 {
+                let fault = r.as_ref().unwrap_err();
+                assert_eq!(fault.index, i);
+                assert_eq!(
+                    fault.cause,
+                    FaultCause::Panic {
+                        message: format!("nested fault at {i}")
+                    }
+                );
+            } else {
+                assert_eq!(*r.as_ref().unwrap(), i as u32 * 3);
+            }
+        }
+    }
+
+    #[test]
+    fn nested_map_respects_the_worker_deadline() {
+        // 16 x 10ms inline against a 50ms deadline: the loop must stop
+        // running items once the deadline passes, so the tail faults.
+        let out = on_worker(|| {
+            let budget = SourceBudget::unlimited().with_deadline(Duration::from_millis(50));
+            let _scope = BudgetScope::enter(&budget);
+            par_map_isolated(4, (0u32..16).collect(), |x| {
+                std::thread::sleep(Duration::from_millis(10));
+                x
+            })
+        });
+        assert!(out[0].is_ok(), "first task started before the deadline");
+        let is_deadline = |r: &Result<u32, TaskFault>| {
+            matches!(
+                r,
+                Err(TaskFault {
+                    cause: FaultCause::Budget(BudgetBreach {
+                        kind: BreachKind::Deadline,
+                        ..
+                    }),
+                    ..
+                })
+            )
+        };
+        let first_fault = out.iter().position(is_deadline).expect("deadline fired");
+        assert!(
+            out[first_fault..].iter().all(is_deadline),
+            "the whole tail faults"
+        );
+    }
+
+    #[test]
+    fn top_level_map_still_fans_out() {
+        // Each task waits (bounded) until both have started: on one thread
+        // the first times out alone and both report the same id.
+        let arrived = (std::sync::Mutex::new(0usize), std::sync::Condvar::new());
+        let ids = par_map(4, vec![0u32, 1], |_| {
+            let (count, cv) = &arrived;
+            let mut n = count.lock().expect("no task panics holding it");
+            *n += 1;
+            cv.notify_all();
+            let _ = cv
+                .wait_timeout_while(n, Duration::from_secs(5), |n| *n < 2)
+                .expect("no task panics holding it");
+            std::thread::current().id()
+        });
+        assert_ne!(ids[0], ids[1], "a main-thread map uses several workers");
+    }
+
+    #[test]
+    fn effective_threads_is_one_only_on_a_worker() {
+        assert_eq!(effective_threads(4), 4);
+        assert_eq!(effective_threads(1), 1);
+        assert_eq!(on_worker(|| effective_threads(4)), 1);
     }
 
     #[test]

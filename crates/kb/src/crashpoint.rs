@@ -122,7 +122,10 @@ mod tests {
 
     // These tests mutate process-global state; they must not run while any
     // other test arms a plan. The only other user is the forked-CLI crash
-    // harness, which arms plans in child processes only.
+    // harness, which arms plans in child processes only. The test harness
+    // runs tests on parallel threads, so the ones that install a plan hold
+    // this lock for their whole body.
+    static PLAN_TESTS: Mutex<()> = Mutex::new(());
 
     #[test]
     fn parse_round_trips_and_rejects_garbage() {
@@ -141,6 +144,7 @@ mod tests {
 
     #[test]
     fn non_matching_hits_never_consume_the_plan() {
+        let _serial = PLAN_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         install(CrashPlan {
             site: "snap.renamed".into(),
             remaining: 1,
@@ -162,6 +166,7 @@ mod tests {
 
     #[test]
     fn countdown_decrements_without_firing_early() {
+        let _serial = PLAN_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         install(CrashPlan {
             site: "unit.stage".into(),
             remaining: 3,
