@@ -1,30 +1,25 @@
 //! Incremental-vs-rebuild timing probe for the augmentation loop.
 //!
-//! Drives two lock-stepped `Augmenter`s to saturation on a corpus where each
-//! round accepts one small vertical (so the dirty leaves of the next round
-//! have *sparse* changes against a large, already-known bulk lattice). Every
-//! round measures three paths:
+//! Drives an `Augmenter` to saturation on a corpus where each round accepts
+//! one small vertical (so the dirty leaves of the next round have *sparse*
+//! changes against a large, already-known bulk lattice). Every round
+//! measures two paths:
 //!
 //! - `rebuild`: from-scratch `suggest_fresh` (no cache at all);
-//! - `noreuse`: the PR 4 incremental path — task replay for clean subtrees,
-//!   but dirty leaves rebuild their hierarchies cold (forced in-process via
-//!   `MIDAS_NO_WARM_HIERARCHY=1`, which `run_incremental` reads per call);
-//! - `warm`: the full warm-hierarchy path — dirty leaves patch their
-//!   retained `SliceHierarchy` in place instead of rebuilding it.
+//! - `warm`: the incremental path — task replay for clean subtrees, and
+//!   dirty leaves patch their retained `SliceHierarchy` in place instead of
+//!   rebuilding it.
 //!
-//! All three reports are asserted bit-identical before any timing is
-//! trusted, and warm rounds must actually warm-patch (`hierarchies_reused`
-//! strictly positive). `scripts/bench_smoke.sh` gates on the warm-round
-//! totals: the warm path must beat the no-reuse incremental path by the
-//! ratio it enforces.
+//! Both reports are asserted bit-identical before any timing is trusted,
+//! and warm rounds must actually warm-patch (`hierarchies_reused` strictly
+//! positive). `scripts/bench_smoke.sh` gates on the warm-round totals: the
+//! warm path must beat the rebuild by the ratio it enforces.
 
 use midas_core::telemetry;
 use midas_core::{Augmenter, FrameworkReport, MidasConfig, SourceFacts};
 use midas_kb::{Fact, Interner, KnowledgeBase};
 use midas_weburl::SourceUrl;
 use std::time::Instant;
-
-const NO_WARM_ENV: &str = "MIDAS_NO_WARM_HIERARCHY";
 
 /// `domains` domains of `pages` pages. Each page carries `entities` bulk
 /// entities (5 properties each — a rich per-leaf lattice) whose facts are
@@ -153,21 +148,15 @@ fn main() {
     if metrics_json.is_some() {
         telemetry::enable();
     }
-    assert!(
-        std::env::var_os(NO_WARM_ENV).is_none(),
-        "unset {NO_WARM_ENV} before running: the bench toggles it per path"
-    );
 
     let mut terms = Interner::new();
     let (sources, kb) = corpus(&mut terms, domains, pages, entities);
     let num_sources = sources.len();
 
     let config = MidasConfig::running_example().with_threads(threads);
-    let mut warm_aug =
-        Augmenter::new(config.clone(), sources.clone(), kb.clone()).with_threads(threads);
-    let mut noreuse_aug = Augmenter::new(config, sources, kb).with_threads(threads);
+    let mut warm_aug = Augmenter::new(config, sources, kb).with_threads(threads);
 
-    let (mut warm_ms_total, mut noreuse_ms_total, mut fresh_ms_total) = (0.0f64, 0.0f64, 0.0f64);
+    let (mut warm_ms_total, mut fresh_ms_total) = (0.0f64, 0.0f64);
     let mut round = 0usize;
     loop {
         round += 1;
@@ -175,19 +164,6 @@ fn main() {
         let start = Instant::now();
         let fresh = warm_aug.suggest_fresh();
         let fresh_ms = start.elapsed().as_secs_f64() * 1e3;
-
-        // PR 4 path: incremental task replay, cold hierarchy rebuild for
-        // every dirty leaf. The env toggle is read per `run_incremental`
-        // call, so flipping it here only affects this suggest.
-        std::env::set_var(NO_WARM_ENV, "1");
-        let start = Instant::now();
-        let noreuse = noreuse_aug.suggest_report();
-        let noreuse_ms = start.elapsed().as_secs_f64() * 1e3;
-        std::env::remove_var(NO_WARM_ENV);
-        assert_eq!(
-            noreuse.hierarchies_reused, 0,
-            "round {round}: {NO_WARM_ENV} must force cold hierarchy rebuilds"
-        );
 
         let before = telemetry::enabled().then(telemetry::snapshot);
         let start = Instant::now();
@@ -198,7 +174,6 @@ fn main() {
         }
 
         assert_identical(&warm, &fresh, "warm incremental", round);
-        assert_identical(&noreuse, &fresh, "no-reuse incremental", round);
         if round > 1 {
             assert!(warm.reused > 0, "warm round {round} replayed nothing");
             assert!(
@@ -206,26 +181,19 @@ fn main() {
                 "warm round {round} patched no hierarchy"
             );
             warm_ms_total += warm_ms;
-            noreuse_ms_total += noreuse_ms;
             fresh_ms_total += fresh_ms;
         }
         let best = warm.slices.iter().find(|s| s.profit > 0.0).cloned();
         let accepted = best.is_some();
         println!(
             "{{\"bench\":\"augment_rounds/round_{round}\",\"sources\":{num_sources},\
-             \"threads\":{threads},\"warm_ms\":{warm_ms:.3},\"noreuse_ms\":{noreuse_ms:.3},\
+             \"threads\":{threads},\"warm_ms\":{warm_ms:.3},\
              \"rebuild_ms\":{fresh_ms:.3},\"detect_calls\":{},\"reused\":{},\
              \"hierarchies_reused\":{},\"accepted\":{accepted}}}",
             warm.detect_calls, warm.reused, warm.hierarchies_reused,
         );
         let Some(best) = best else { break };
-        let step = warm_aug.accept(&best);
-        let mirror = noreuse_aug.accept(&best);
-        assert_eq!(
-            step.facts_added, mirror.facts_added,
-            "round {round}: the two augmenters fell out of lockstep"
-        );
-        if step.facts_added == 0 {
+        if warm_aug.accept(&best).facts_added == 0 {
             break;
         }
     }
@@ -233,12 +201,11 @@ fn main() {
         round >= 4,
         "corpus saturated after {round} rounds; need >=4 for a warm-round comparison"
     );
-    let ratio = noreuse_ms_total / warm_ms_total.max(1e-9);
+    let ratio = fresh_ms_total / warm_ms_total.max(1e-9);
     println!(
         "{{\"bench\":\"augment_rounds/warm_total\",\"sources\":{num_sources},\
          \"threads\":{threads},\"rounds\":{round},\"warm_ms\":{warm_ms_total:.3},\
-         \"noreuse_ms\":{noreuse_ms_total:.3},\"rebuild_ms\":{fresh_ms_total:.3},\
-         \"warm_over_noreuse\":{ratio:.2}}}"
+         \"rebuild_ms\":{fresh_ms_total:.3},\"warm_over_rebuild\":{ratio:.2}}}"
     );
     if let Some(path) = metrics_json {
         telemetry::write_json(&path).expect("write --metrics-json report");

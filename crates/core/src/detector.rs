@@ -4,12 +4,20 @@
 //! other slice detection algorithms."* The baselines crate implements this
 //! trait for GREEDY and AGGCLUSTER so that all algorithms can be
 //! parallelised by the same framework.
+//!
+//! A detector answers two calls: [`SliceDetector::detect`] from raw facts
+//! and [`SliceDetector::detect_on_table`] over a prebuilt fact table. The
+//! framework drives every round-0 leaf through one more,
+//! [`SliceDetector::detect_leaf`], which carries the per-leaf state a
+//! detector may reuse across augmentation rounds (a cached table, last
+//! round's hierarchy) in a [`LeafState`]. Its default ignores that state
+//! beyond the table, so a detector that implements only the first two
+//! calls behaves identically on every framework path.
 
 use midas_kb::{KnowledgeBase, Symbol};
 
 use crate::fact_table::{EntityId, FactTable};
 use crate::hierarchy::SliceHierarchy;
-use crate::quarantine::FaultCause;
 use crate::single_source::MidasAlg;
 use crate::slice::DiscoveredSlice;
 use crate::source::SourceFacts;
@@ -27,6 +35,36 @@ pub struct DetectInput<'a> {
     pub seeds: &'a [Vec<(Symbol, Symbol)>],
 }
 
+/// What the caller of [`SliceDetector::detect_leaf`] already holds for the
+/// source, and what it wants back.
+#[derive(Debug, Default)]
+pub struct LeafState<'a> {
+    /// A fact table prebuilt from exactly this source (a snapshot's, or the
+    /// incremental cache's with [`FactTable::refresh_new_counts`] applied).
+    /// `None`: the detector builds its own.
+    pub table: Option<&'a FactTable>,
+    /// Last round's hierarchy for this source, with the entity ids whose
+    /// `new`-fact counts moved since it was built (the bound of
+    /// [`SliceHierarchy::warm_patch`]). Ownership passes to the detector.
+    pub warm: Option<(SliceHierarchy, Vec<EntityId>)>,
+    /// Whether the caller keeps the table and hierarchy the detector
+    /// builds; when `false` the detector recycles them itself.
+    pub retain: bool,
+}
+
+/// The result of [`SliceDetector::detect_leaf`].
+#[derive(Debug, Default)]
+pub struct LeafOutcome {
+    /// The detected slices.
+    pub slices: Vec<DiscoveredSlice>,
+    /// The table the detector built (only with `retain` and no given table).
+    pub table: Option<FactTable>,
+    /// The hierarchy the detector built or patched (only with `retain`).
+    pub hierarchy: Option<SliceHierarchy>,
+    /// Whether the warm hierarchy was patched in place rather than rebuilt.
+    pub warmed: bool,
+}
+
 /// A slice-detection algorithm usable inside the framework.
 pub trait SliceDetector: Sync {
     /// Short algorithm name for reports ("midas", "greedy", …).
@@ -39,75 +77,30 @@ pub trait SliceDetector: Sync {
     /// them and detect from scratch).
     fn detect(&self, input: DetectInput<'_>) -> Vec<DiscoveredSlice>;
 
-    /// Like [`SliceDetector::detect`], but additionally returns the
-    /// [`FactTable`] the detector built for the source, so callers driving
-    /// incremental re-runs can cache it across augmentation rounds.
-    /// Detectors that do not materialise a reusable table (the baselines)
-    /// fall back to plain detection and return `None`; results are identical
-    /// to [`SliceDetector::detect`] either way.
-    fn detect_retaining_table(
-        &self,
-        input: DetectInput<'_>,
-    ) -> (Vec<DiscoveredSlice>, Option<FactTable>) {
-        (self.detect(input), None)
-    }
-
-    /// Detects slices over a pre-built fact table for `input.source` — the
-    /// incremental fast path, where a cached table (with refreshed
-    /// `new`-flag counts, see [`FactTable::refresh_new_counts`]) replaces
-    /// the per-round rebuild. The default ignores the table and detects from
-    /// scratch, which is always correct.
+    /// Detects slices over a pre-built fact table for `input.source`. The
+    /// default ignores the table and detects from scratch, which is always
+    /// correct.
     fn detect_on_table(&self, table: &FactTable, input: DetectInput<'_>) -> Vec<DiscoveredSlice> {
         let _ = table;
         self.detect(input)
     }
 
-    /// Like [`SliceDetector::detect_retaining_table`], but additionally
-    /// returns the slice hierarchy the detector built, so warm-hierarchy
-    /// drivers can patch it in place next round instead of rebuilding.
-    /// Detectors without a reusable hierarchy return `None` for it; results
-    /// are identical to [`SliceDetector::detect`] either way.
-    fn detect_retaining_state(
-        &self,
-        input: DetectInput<'_>,
-    ) -> (
-        Vec<DiscoveredSlice>,
-        Option<FactTable>,
-        Option<SliceHierarchy>,
-    ) {
-        let (slices, table) = self.detect_retaining_table(input);
-        (slices, table, None)
-    }
-
-    /// Warm re-detection over a cached table and (optionally) last round's
-    /// hierarchy for the same source. `changed` lists the entity ids whose
-    /// `new`-fact counts moved since the hierarchy was built (see
-    /// [`FactTable::refresh_new_counts`]). Returns the slices, the hierarchy
-    /// to cache for the next round (if the detector retains one), and
-    /// whether the warm patch was actually used. The default recycles any
-    /// warm hierarchy and detects cold over the table, which is always
-    /// correct.
-    fn detect_warm(
-        &self,
-        table: &FactTable,
-        input: DetectInput<'_>,
-        warm: Option<SliceHierarchy>,
-        changed: &[EntityId],
-    ) -> (Vec<DiscoveredSlice>, Option<SliceHierarchy>, bool) {
-        if let Some(h) = warm {
+    /// Detects slices in one round-0 leaf given the caller's [`LeafState`].
+    /// The slices must equal [`SliceDetector::detect`]'s whatever the state.
+    /// The default recycles any warm hierarchy, detects over the given
+    /// table (or from scratch), and retains nothing.
+    fn detect_leaf(&self, input: DetectInput<'_>, state: LeafState<'_>) -> LeafOutcome {
+        if let Some((h, _)) = state.warm {
             h.recycle();
         }
-        let _ = changed;
-        (self.detect_on_table(table, input), None, false)
-    }
-
-    /// Runs [`SliceDetector::detect`] under panic isolation: a panic or
-    /// budget breach inside the detector becomes a structured
-    /// [`FaultCause`] instead of unwinding into the caller. Callers outside
-    /// the framework's worker pool (e.g. sequential per-source eval loops)
-    /// use this to get the same degrade-per-source semantics.
-    fn detect_isolated(&self, input: DetectInput<'_>) -> Result<Vec<DiscoveredSlice>, FaultCause> {
-        crate::parallel::run_isolated(|| self.detect(input))
+        let slices = match state.table {
+            Some(table) => self.detect_on_table(table, input),
+            None => self.detect(input),
+        };
+        LeafOutcome {
+            slices,
+            ..LeafOutcome::default()
+        }
     }
 }
 
@@ -117,61 +110,22 @@ impl SliceDetector for MidasAlg {
     }
 
     fn detect(&self, input: DetectInput<'_>) -> Vec<DiscoveredSlice> {
-        if input.seeds.is_empty() {
-            self.run(input.source, input.kb)
-        } else {
-            self.run_seeded(input.source, input.kb, input.seeds)
-        }
-    }
-
-    fn detect_retaining_table(
-        &self,
-        input: DetectInput<'_>,
-    ) -> (Vec<DiscoveredSlice>, Option<FactTable>) {
-        self.run_retaining_table(input.source, input.kb, input.seeds)
+        self.detect_leaf(input, LeafState::default()).slices
     }
 
     fn detect_on_table(&self, table: &FactTable, input: DetectInput<'_>) -> Vec<DiscoveredSlice> {
-        self.run_on_table(table, input.source, input.kb, input.seeds)
+        let state = LeafState {
+            table: Some(table),
+            ..LeafState::default()
+        };
+        self.detect_leaf(input, state).slices
     }
 
-    fn detect_retaining_state(
-        &self,
-        input: DetectInput<'_>,
-    ) -> (
-        Vec<DiscoveredSlice>,
-        Option<FactTable>,
-        Option<SliceHierarchy>,
-    ) {
-        // The warm-hierarchy engine only patches unseeded (leaf) runs;
-        // seeded merge shards keep the plain table-retaining path.
-        if input.seeds.is_empty() {
-            self.run_retaining_state(input.source, input.kb)
-        } else {
-            let (slices, table) = self.run_retaining_table(input.source, input.kb, input.seeds);
-            (slices, table, None)
-        }
-    }
-
-    fn detect_warm(
-        &self,
-        table: &FactTable,
-        input: DetectInput<'_>,
-        warm: Option<SliceHierarchy>,
-        changed: &[EntityId],
-    ) -> (Vec<DiscoveredSlice>, Option<SliceHierarchy>, bool) {
-        if !input.seeds.is_empty() {
-            // Seeded runs never cache hierarchies; defensive fallback.
-            if let Some(h) = warm {
-                h.recycle();
-            }
-            return (
-                self.run_on_table(table, input.source, input.kb, input.seeds),
-                None,
-                false,
-            );
-        }
-        self.run_on_table_warm(table, input.source, warm, changed)
+    fn detect_leaf(&self, input: DetectInput<'_>, state: LeafState<'_>) -> LeafOutcome {
+        // The framework's seed convention: no seeds means entity-derived
+        // initial slices, not an empty initial hierarchy.
+        let seeds = (!input.seeds.is_empty()).then_some(input.seeds);
+        self.detect_source(input.source, input.kb, seeds, state)
     }
 }
 

@@ -839,12 +839,18 @@ mod tests {
 
     #[test]
     fn recalibrate_divisor_reseals_extents_bit_identically() {
+        use crate::detector::{DetectInput, SliceDetector};
         let mut t = Interner::new();
         let (src, kb) = skyrocket(&mut t);
         let alg =
             crate::single_source::MidasAlg::new(crate::config::MidasConfig::running_example());
+        let input = || DetectInput {
+            source: &src,
+            kb: &kb,
+            seeds: &[],
+        };
         let mut ft = FactTable::build(&src, &kb);
-        let baseline = alg.run_on_table(&ft, &src, &kb, &[]);
+        let baseline = alg.detect_on_table(&ft, input());
         assert!(
             !ft.recalibrate_divisor(),
             "a fresh build is already calibrated"
@@ -858,7 +864,7 @@ mod tests {
         for ext in &mut ft.catalog.extents {
             ext.set_divisor(crate::extent::DENSITY_DIVISOR);
         }
-        let stale = alg.run_on_table(&ft, &src, &kb, &[]);
+        let stale = alg.detect_on_table(&ft, input());
         assert_eq!(stale, baseline, "divisor never changes slice output");
         assert!(ft.recalibrate_divisor(), "stale divisor must recalibrate");
         assert_eq!(ft.divisor(), crate::extent::MAX_DENSITY_DIVISOR);
@@ -868,7 +874,7 @@ mod tests {
             let got: Vec<EntityId> = ext.iter().collect();
             assert_eq!(&got, want, "re-sealing must not change contents");
         }
-        let resealed = alg.run_on_table(&ft, &src, &kb, &[]);
+        let resealed = alg.detect_on_table(&ft, input());
         assert_eq!(resealed, baseline, "recalibrated slice output identical");
         assert!(!ft.recalibrate_divisor(), "second call is a no-op");
     }

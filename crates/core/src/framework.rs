@@ -79,7 +79,7 @@ use midas_weburl::SourceUrl;
 
 use crate::budget::{self, BreachKind, BudgetBreach, BudgetScope, SourceBudget};
 use crate::config::CostModel;
-use crate::detector::{DetectInput, SliceDetector};
+use crate::detector::{DetectInput, LeafOutcome, LeafState, SliceDetector};
 use crate::fact_table::{EntityId, FactTable};
 use crate::faultinject;
 use crate::hierarchy::SliceHierarchy;
@@ -275,21 +275,11 @@ pub struct FrameworkReport {
     pub reused: usize,
     /// Number of round-0 leaves whose slice hierarchy was warm-patched in
     /// place from the previous round instead of rebuilt (always zero for
-    /// [`Framework::run`] and when `MIDAS_NO_WARM_HIERARCHY` is set).
+    /// [`Framework::run`], and for detectors that retain no hierarchy).
     pub hierarchies_reused: usize,
     /// Sources dropped from the run (panics, budget breaches), in
     /// deterministic source order per round.
     pub quarantine: Quarantine,
-}
-
-/// Warm-hierarchy state threaded into one round-0 pass: whether dirty
-/// leaves may patch last round's hierarchy in place, and — per dirty leaf —
-/// the entity ids whose `new`-fact counts moved (the patch's dirtiness
-/// bound, see [`SliceHierarchy::warm_patch`]).
-#[derive(Default)]
-struct WarmRound {
-    enabled: bool,
-    changed_by_url: BTreeMap<SourceUrl, Vec<EntityId>>,
 }
 
 /// A source travelling through the rounds: round-0 leaves of an incremental
@@ -411,7 +401,7 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
         for s in sources {
             insert_leaf(&mut by_url, RoundSource::Owned(s));
         }
-        self.drive(by_url, kb, None, None, WarmRound::default())
+        self.drive(by_url, kb, None, None, BTreeMap::new())
     }
 
     /// Like [`Framework::run`], but round-0 detection reuses the prebuilt
@@ -430,7 +420,7 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
         for s in sources {
             insert_leaf(&mut by_url, RoundSource::Owned(s));
         }
-        self.drive(by_url, kb, None, Some(tables), WarmRound::default())
+        self.drive(by_url, kb, None, Some(tables), BTreeMap::new())
     }
 
     /// Incremental counterpart of [`Framework::run`] for the augmentation
@@ -484,16 +474,6 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
         cache
             .shards
             .retain(|parent, _| dirty.iter().all(|leaf| !parent.contains(leaf)));
-        // The warm-hierarchy escape hatch: with `MIDAS_NO_WARM_HIERARCHY`
-        // set, retained hierarchies are recycled and dirty leaves fall back
-        // to the PR 4 rebuild-over-cached-table path. Read per call so a
-        // process can toggle it between runs (the bench does).
-        let warm_enabled = std::env::var_os("MIDAS_NO_WARM_HIERARCHY").is_none();
-        if !warm_enabled && !cache.hierarchies.is_empty() {
-            for (_, h) in std::mem::take(&mut cache.hierarchies) {
-                h.recycle();
-            }
-        }
         // Dirty leaves keep their cached fact table: structure is unchanged,
         // only the `new` flags of rows keyed by the delta's subjects are
         // stale — refresh those in place instead of rebuilding. Afterwards
@@ -510,16 +490,7 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
                 changed_by_url.insert((*url).clone(), changed);
             }
         }
-        self.drive(
-            by_url,
-            kb,
-            Some(cache),
-            None,
-            WarmRound {
-                enabled: warm_enabled,
-                changed_by_url,
-            },
-        )
+        self.drive(by_url, kb, Some(cache), None, changed_by_url)
     }
 
     fn cache_sig(&self, by_url: &BTreeMap<SourceUrl, RoundSource<'_>>) -> CacheSig {
@@ -547,14 +518,16 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
     /// The round driver shared by [`Framework::run`] (`incr = None`: every
     /// task executes) and [`Framework::run_incremental`] (`incr = Some`:
     /// tasks with a surviving cache entry are replayed, the rest execute and
-    /// re-memoise).
+    /// re-memoise). `changed_by_url` holds, per dirty leaf with a cached
+    /// table, the entity ids whose `new`-fact counts moved: the bound of
+    /// that leaf's warm hierarchy patch ([`SliceHierarchy::warm_patch`]).
     fn drive(
         &self,
         mut by_url: BTreeMap<SourceUrl, RoundSource<'_>>,
         kb: &KnowledgeBase,
         mut incr: Option<&mut RoundCache>,
         prebuilt: Option<&BTreeMap<SourceUrl, FactTable>>,
-        mut warm: WarmRound,
+        mut changed_by_url: BTreeMap<SourceUrl, Vec<EntityId>>,
     ) -> FrameworkReport {
         let incremental = incr.is_some();
         let mut detect_calls = 0usize;
@@ -601,16 +574,14 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
         type WarmSlot = Mutex<Option<(SliceHierarchy, Vec<EntityId>)>>;
         let mut warm_slots: Vec<WarmSlot> =
             (0..leaf_meta.len()).map(|_| Mutex::new(None)).collect();
-        if warm.enabled {
-            if let Some(cache) = incr.as_deref_mut() {
-                for (index, (url, _)) in leaf_meta.iter().enumerate() {
-                    if reuse_mask[index] {
-                        continue;
-                    }
-                    if let Some(h) = cache.hierarchies.remove(url) {
-                        let changed = warm.changed_by_url.remove(url).unwrap_or_default();
-                        warm_slots[index] = Mutex::new(Some((h, changed)));
-                    }
+        if let Some(cache) = incr.as_deref_mut() {
+            for (index, (url, _)) in leaf_meta.iter().enumerate() {
+                if reuse_mask[index] {
+                    continue;
+                }
+                if let Some(h) = cache.hierarchies.remove(url) {
+                    let changed = changed_by_url.remove(url).unwrap_or_default();
+                    warm_slots[index] = Mutex::new(Some((h, changed)));
                 }
             }
         }
@@ -626,12 +597,6 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
         let mut faulted: Vec<SourceUrl> = Vec::new();
         let mut executed = 0usize;
         let mut reused = 0usize;
-        type LeafOutcome = (
-            Vec<DiscoveredSlice>,
-            Option<FactTable>,
-            Option<SliceHierarchy>,
-            bool,
-        );
         let detect_span = telemetry::span("framework.detect", &metrics::DETECT_NS);
         par_map_streamed(
             self.threads,
@@ -648,38 +613,14 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
                     kb,
                     seeds: &[],
                 };
-                Some(match tables.and_then(|t| t.get(&src.url)) {
-                    // Incremental fast path: the cached (possibly refreshed)
-                    // table replaces the per-round rebuild, and — when the
-                    // warm-hierarchy engine is on — last round's hierarchy is
-                    // patched in place instead of rebuilt.
-                    Some(table) if warm.enabled => {
-                        let slot = warm_slots[index].lock().ok().and_then(|mut s| s.take());
-                        let (hier, changed) = match slot {
-                            Some((h, changed)) => (Some(h), changed),
-                            None => (None, Vec::new()),
-                        };
-                        let (slices, hierarchy, warmed) =
-                            self.detector.detect_warm(table, input, hier, &changed);
-                        (slices, None, hierarchy, warmed)
-                    }
-                    Some(table) => (
-                        self.detector.detect_on_table(table, input),
-                        None,
-                        None,
-                        false,
-                    ),
-                    None if incremental && warm.enabled => {
-                        let (slices, table, hierarchy) =
-                            self.detector.detect_retaining_state(input);
-                        (slices, table, hierarchy, false)
-                    }
-                    None if incremental => {
-                        let (slices, table) = self.detector.detect_retaining_table(input);
-                        (slices, table, None, false)
-                    }
-                    None => (self.detector.detect(input), None, None, false),
-                })
+                // A snapshot's or the incremental cache's table replaces the
+                // rebuild, and last round's hierarchy is patched in place.
+                let state = LeafState {
+                    table: tables.and_then(|t| t.get(&src.url)),
+                    warm: warm_slots[index].lock().ok().and_then(|mut s| s.take()),
+                    retain: incremental,
+                };
+                Some(self.detector.detect_leaf(input, state))
             },
             |index, result| {
                 let (url, facts_seen) = &leaf_meta[index];
@@ -698,18 +639,16 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
                                 .extend(cached.kept);
                         }
                     }
-                    Ok(Some((mut slices, table, hierarchy, warmed))) => {
+                    Ok(Some(LeafOutcome {
+                        mut slices,
+                        table,
+                        hierarchy,
+                        warmed,
+                    })) => {
                         executed += 1;
                         if warmed {
                             hierarchies_reused += 1;
                             metrics::HIERARCHIES_WARM_REUSED.add_always(1);
-                        }
-                        if let Some(h) = hierarchy {
-                            if incremental && warm.enabled {
-                                new_hierarchies.push((url.clone(), h));
-                            } else {
-                                h.recycle();
-                            }
                         }
                         enforce_sorted_entities(&mut slices);
                         let kept: Vec<Candidate> = slices
@@ -730,6 +669,9 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
                             ));
                             if let Some(t) = table {
                                 new_tables.push((url.clone(), t));
+                            }
+                            if let Some(h) = hierarchy {
+                                new_hierarchies.push((url.clone(), h));
                             }
                         }
                         if !kept.is_empty() {

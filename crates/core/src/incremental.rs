@@ -102,8 +102,7 @@ impl Augmenter {
     }
 
     /// Number of leaf hierarchies the incremental cache currently retains
-    /// for warm patching (zero before the first `suggest` and whenever
-    /// `MIDAS_NO_WARM_HIERARCHY` disabled retention on the last run).
+    /// for warm patching (zero before the first `suggest`).
     pub fn warm_hierarchies(&self) -> usize {
         self.cache.warm_hierarchies()
     }

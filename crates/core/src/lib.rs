@@ -53,7 +53,7 @@ pub mod traversal;
 
 pub use budget::{BreachKind, BudgetBreach, BudgetScope, SourceBudget};
 pub use config::{CostModel, MidasConfig};
-pub use detector::{DetectInput, SliceDetector};
+pub use detector::{DetectInput, LeafOutcome, LeafState, SliceDetector};
 pub use enrich::RangeEnrichment;
 pub use explain::ProfitBreakdown;
 pub use extent::ExtentSet;

@@ -3,6 +3,7 @@
 use midas_kb::{KnowledgeBase, Symbol};
 
 use crate::config::MidasConfig;
+use crate::detector::{LeafOutcome, LeafState};
 use crate::fact_table::{FactTable, PropertyId};
 use crate::hierarchy::SliceHierarchy;
 use crate::profit::ProfitCtx;
@@ -27,7 +28,8 @@ impl MidasAlg {
     /// Runs MIDASalg on one source against `kb`, deriving initial slices
     /// from the entities of the source's fact table.
     pub fn run(&self, source: &SourceFacts, kb: &KnowledgeBase) -> Vec<DiscoveredSlice> {
-        self.run_with_seeds(source, kb, None)
+        self.detect_source(source, kb, None, LeafState::default())
+            .slices
     }
 
     /// Runs MIDASalg with the initial hierarchy formed from `seeds` —
@@ -41,157 +43,83 @@ impl MidasAlg {
         kb: &KnowledgeBase,
         seeds: &[Vec<(Symbol, Symbol)>],
     ) -> Vec<DiscoveredSlice> {
-        self.run_with_seeds(source, kb, Some(seeds))
+        self.detect_source(source, kb, Some(seeds), LeafState::default())
+            .slices
     }
 
-    /// Like [`MidasAlg::run_seeded`], but returns the [`FactTable`] built
-    /// for the source instead of recycling it, so incremental drivers can
-    /// cache it across augmentation rounds (empty `seeds` = unseeded run).
-    /// Returns `(slices, None)` for an empty source.
-    pub fn run_retaining_table(
-        &self,
-        source: &SourceFacts,
-        kb: &KnowledgeBase,
-        seeds: &[Vec<(Symbol, Symbol)>],
-    ) -> (Vec<DiscoveredSlice>, Option<FactTable>) {
-        if source.is_empty() {
-            return (Vec::new(), None);
-        }
-        let _budget_scope = crate::budget::BudgetScope::enter(&self.config.budget);
-        let table = FactTable::build(source, kb);
-        let slices = self.detect_over(&table, source, norm_seeds(seeds));
-        (slices, Some(table))
-    }
-
-    /// Runs hierarchy construction + traversal over a pre-built fact table —
-    /// the incremental fast path where a cached table (with
-    /// [`FactTable::refresh_new_counts`] applied) replaces the per-round
-    /// rebuild. The table must have been built from exactly this `source`
-    /// against the same knowledge-base state (empty `seeds` = unseeded run).
-    pub fn run_on_table(
-        &self,
-        table: &FactTable,
-        source: &SourceFacts,
-        kb: &KnowledgeBase,
-        seeds: &[Vec<(Symbol, Symbol)>],
-    ) -> Vec<DiscoveredSlice> {
-        let _ = kb; // newness is already folded into the table's counts
-        if source.is_empty() {
-            return Vec::new();
-        }
-        debug_assert_eq!(
-            table.total_facts(),
-            source.len(),
-            "cached table does not match the source it is applied to"
-        );
-        let _budget_scope = crate::budget::BudgetScope::enter(&self.config.budget);
-        self.detect_over(table, source, norm_seeds(seeds))
-    }
-
-    /// Like [`MidasAlg::run_retaining_table`], but also returns the built
-    /// [`SliceHierarchy`] instead of recycling it, so the warm-hierarchy
-    /// engine can patch it in place next round (unseeded, leaf-only path).
-    pub fn run_retaining_state(
-        &self,
-        source: &SourceFacts,
-        kb: &KnowledgeBase,
-    ) -> (
-        Vec<DiscoveredSlice>,
-        Option<FactTable>,
-        Option<SliceHierarchy>,
-    ) {
-        if source.is_empty() {
-            return (Vec::new(), None, None);
-        }
-        let _budget_scope = crate::budget::BudgetScope::enter(&self.config.budget);
-        let table = FactTable::build(source, kb);
-        let ctx = ProfitCtx::new(&table, self.config.cost);
-        let hierarchy = self.build_hierarchy(&table, &ctx, None);
-        let slices = self.materialise(&table, source, &ctx, &hierarchy);
-        (slices, Some(table), Some(hierarchy))
-    }
-
-    /// The warm re-detection path: re-evaluates `warm` (last round's
-    /// hierarchy for this source) against the refreshed `table` via
-    /// [`SliceHierarchy::warm_patch`], falling back to a cold
-    /// [`SliceHierarchy::build`] when no hierarchy is cached or the patch
-    /// refuses the delta. Returns the slices, the (patched or rebuilt)
-    /// hierarchy for re-caching, and whether the patch succeeded. Results
-    /// are bit-identical to [`MidasAlg::run_on_table`] either way.
-    pub fn run_on_table_warm(
-        &self,
-        table: &FactTable,
-        source: &SourceFacts,
-        warm: Option<SliceHierarchy>,
-        changed: &[crate::fact_table::EntityId],
-    ) -> (Vec<DiscoveredSlice>, Option<SliceHierarchy>, bool) {
-        if source.is_empty() {
-            if let Some(h) = warm {
-                h.recycle();
-            }
-            return (Vec::new(), None, false);
-        }
-        debug_assert_eq!(
-            table.total_facts(),
-            source.len(),
-            "cached table does not match the source it is applied to"
-        );
-        let _budget_scope = crate::budget::BudgetScope::enter(&self.config.budget);
-        let ctx = ProfitCtx::new(table, self.config.cost);
-        let (hierarchy, warmed) = match warm {
-            Some(mut h) => {
-                if h.warm_patch(&ctx, &self.config, changed) {
-                    (h, true)
-                } else {
-                    // Structural fallback: the cached hierarchy cannot absorb
-                    // the delta — recycle its arenas and rebuild cold.
-                    h.recycle();
-                    (self.build_hierarchy(table, &ctx, None), false)
-                }
-            }
-            None => (self.build_hierarchy(table, &ctx, None), false),
-        };
-        let slices = self.materialise(table, source, &ctx, &hierarchy);
-        (slices, Some(hierarchy), warmed)
-    }
-
-    fn run_with_seeds(
+    /// The one detection routine behind every entry point: take the given
+    /// table or build one, patch the warm hierarchy in place or build cold
+    /// (also when the patch refuses the delta, or the run is seeded), then
+    /// traverse and materialise. With `state.retain` the table it built and
+    /// the hierarchy come back to the caller; otherwise their buffers go
+    /// back to this thread's scratch pools for the next source. The slices
+    /// are bit-identical whichever way the table and hierarchy were
+    /// obtained.
+    pub(crate) fn detect_source(
         &self,
         source: &SourceFacts,
         kb: &KnowledgeBase,
         seeds: Option<&[Vec<(Symbol, Symbol)>]>,
-    ) -> Vec<DiscoveredSlice> {
+        state: LeafState<'_>,
+    ) -> LeafOutcome {
+        let LeafState {
+            table: given,
+            warm,
+            retain,
+        } = state;
         if source.is_empty() {
-            return Vec::new();
+            return LeafOutcome::default();
         }
         // Direct (non-framework) runs enforce the config's budget here; when
         // the framework already installed a scope around this call, its
         // outer scope keeps governing and this is a no-op.
         let _budget_scope = crate::budget::BudgetScope::enter(&self.config.budget);
-        let table = FactTable::build(source, kb);
-        let slices = self.detect_over(&table, source, seeds);
-        // The shard is finished: hand the fact table's buffers back to the
-        // worker's scratch pool for the next shard.
-        table.recycle();
-        slices
-    }
-
-    /// Hierarchy construction, traversal, and slice materialisation over a
-    /// prebuilt fact table. Does not recycle `table` (the caller decides
-    /// whether it is scratch or cached).
-    fn detect_over(
-        &self,
-        table: &FactTable,
-        source: &SourceFacts,
-        seeds: Option<&[Vec<(Symbol, Symbol)>]>,
-    ) -> Vec<DiscoveredSlice> {
+        let built = match given {
+            Some(table) => {
+                debug_assert_eq!(
+                    table.total_facts(),
+                    source.len(),
+                    "given table does not match the source it is applied to"
+                );
+                None
+            }
+            None => Some(FactTable::build(source, kb)),
+        };
+        let table = given.or(built.as_ref()).expect("a given or built table");
         let ctx = ProfitCtx::new(table, self.config.cost);
-        let hierarchy = self.build_hierarchy(table, &ctx, seeds);
+        let patched = match warm {
+            Some((mut h, changed)) => {
+                if seeds.is_none() && h.warm_patch(&ctx, &self.config, &changed) {
+                    Some(h)
+                } else {
+                    // The cached hierarchy cannot absorb the delta (or the
+                    // run is seeded): recycle its arenas and rebuild cold.
+                    h.recycle();
+                    None
+                }
+            }
+            None => None,
+        };
+        let warmed = patched.is_some();
+        let hierarchy = patched.unwrap_or_else(|| self.build_hierarchy(table, &ctx, seeds));
         let slices = self.materialise(table, source, &ctx, &hierarchy);
-        // Hand the hierarchy's buffers back to the worker's scratch pool
-        // for the next shard.
+        if retain {
+            return LeafOutcome {
+                slices,
+                table: built,
+                hierarchy: Some(hierarchy),
+                warmed,
+            };
+        }
         hierarchy.recycle();
-        slices
+        if let Some(table) = built {
+            table.recycle();
+        }
+        LeafOutcome {
+            slices,
+            warmed,
+            ..LeafOutcome::default()
+        }
     }
 
     fn build_hierarchy(
@@ -218,9 +146,8 @@ impl MidasAlg {
         }
     }
 
-    /// Traversal plus slice materialisation — shared verbatim by the cold
-    /// and warm detection paths, so a warm-patched hierarchy yields the
-    /// same report bytes a fresh build would.
+    /// Traversal plus slice materialisation — the same for a cold and a
+    /// warm-patched hierarchy, so both yield the same report bytes.
     fn materialise(
         &self,
         table: &FactTable,
@@ -277,15 +204,11 @@ impl MidasAlg {
     }
 }
 
-/// The framework's seed convention: an empty seed list means "no seeds"
-/// (entity-derived initial slices), not "empty initial hierarchy".
-fn norm_seeds(seeds: &[Vec<(Symbol, Symbol)>]) -> Option<&[Vec<(Symbol, Symbol)>]> {
-    (!seeds.is_empty()).then_some(seeds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::{DetectInput, SliceDetector};
+    use crate::fact_table::EntityId;
     use crate::fixtures::{skyrocket, skyrocket_pages};
     use midas_kb::Interner;
 
@@ -381,6 +304,75 @@ mod tests {
             slices.is_empty(),
             "a seed with no known property yields nothing"
         );
+    }
+
+    fn input<'a>(source: &'a SourceFacts, kb: &'a KnowledgeBase) -> DetectInput<'a> {
+        DetectInput {
+            source,
+            kb,
+            seeds: &[],
+        }
+    }
+
+    #[test]
+    fn every_leaf_state_matches_run() {
+        let mut t = Interner::new();
+        let (src, kb) = skyrocket(&mut t);
+        let alg = MidasAlg::new(MidasConfig::running_example());
+        let table = FactTable::build(&src, &kb);
+
+        // Cold: table given or built, retained or not. Only a retaining
+        // caller gets state back, and a table only if the detector built it.
+        let want = alg.run(&src, &kb);
+        for given in [None, Some(&table)] {
+            for retain in [false, true] {
+                let state = LeafState {
+                    table: given,
+                    warm: None,
+                    retain,
+                };
+                let out = alg.detect_leaf(input(&src, &kb), state);
+                assert_eq!(out.slices, want);
+                assert!(!out.warmed);
+                assert_eq!(out.table.is_some(), retain && given.is_none());
+                assert_eq!(out.hierarchy.is_some(), retain);
+            }
+        }
+
+        // Warm: accept one new fact, refresh a copy of the table, and hand
+        // over a hierarchy retained before the accept. The true changed ids
+        // patch in place; an out-of-universe id makes the patch refuse, and
+        // the routine rebuilds cold.
+        let fact = *src.facts.iter().find(|f| kb.is_new(f)).expect("a new fact");
+        let mut kb1 = kb.clone();
+        kb1.insert(fact);
+        let mut refreshed = table.clone();
+        let changed = refreshed.refresh_new_counts(&kb1, [fact.subject]);
+        assert_eq!(changed.len(), 1);
+        let want = alg.run(&src, &kb1);
+        let outside = vec![table.num_entities() as EntityId];
+        for (changed, patches) in [(changed, true), (outside, false)] {
+            for given in [None, Some(&refreshed)] {
+                for retain in [false, true] {
+                    let retained = LeafState {
+                        table: Some(&table),
+                        warm: None,
+                        retain: true,
+                    };
+                    let hierarchy = alg.detect_leaf(input(&src, &kb), retained).hierarchy;
+                    let state = LeafState {
+                        table: given,
+                        warm: hierarchy.map(|h| (h, changed.clone())),
+                        retain,
+                    };
+                    let out = alg.detect_leaf(input(&src, &kb1), state);
+                    assert_eq!(out.slices, want);
+                    assert_eq!(out.warmed, patches);
+                    assert_eq!(out.table.is_some(), retain && given.is_none());
+                    assert_eq!(out.hierarchy.is_some(), retain);
+                }
+            }
+        }
     }
 
     #[test]

@@ -195,6 +195,13 @@ pub fn load_corpus(path: &Path, expected_key: u64) -> Result<Corpus, SnapshotErr
         heads.push((url, len));
     }
     r.expect_end("sources")?;
+    // Detection pairs each source with its table by URL, so two sources
+    // sharing one would merge and run against only one half's table.
+    let mut urls: Vec<&SourceUrl> = heads.iter().map(|(url, _)| url).collect();
+    urls.sort_unstable();
+    if let Some(w) = urls.windows(2).find(|w| w[0] == w[1]) {
+        return Err(corrupt(format!("source url {} listed twice", w[0])));
+    }
 
     let mut r = snap.section(TAG_FACTS)?;
     let mut sources: Vec<SourceFacts> = Vec::with_capacity(n_sources);
@@ -502,6 +509,29 @@ mod tests {
         let err = load_corpus(&path, 1).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, SnapshotError::Corrupt(_)));
+    }
+
+    #[test]
+    fn repeated_source_url_fails_closed() {
+        // The running-example source split into two halves under one URL:
+        // each half is well-formed on its own, but a run would merge them
+        // and pair the merged source with one half's table.
+        let (terms, sources, kb, _) = sample_corpus();
+        let src = &sources[0];
+        let mid = src.facts.len() / 2;
+        let halves = vec![
+            SourceFacts::new(src.url.clone(), src.facts[..mid].to_vec()),
+            SourceFacts::new(src.url.clone(), src.facts[mid..].to_vec()),
+        ];
+        let tables: Vec<FactTable> = halves.iter().map(|h| FactTable::build(h, &kb)).collect();
+        let path = tmp("repeated-url");
+        save_corpus(&path, 5, &terms, &halves, &kb, &tables).unwrap();
+        let err = load_corpus(&path, 5).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(&err, SnapshotError::Corrupt(m) if m.contains("listed twice")),
+            "{err}"
+        );
     }
 
     #[test]

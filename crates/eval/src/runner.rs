@@ -109,10 +109,12 @@ pub fn run_detector_per_source_budgeted<D: SliceDetector>(
         }
         let result = {
             let _scope = midas_core::BudgetScope::enter(&budget);
-            detector.detect_isolated(DetectInput {
-                source: src,
-                kb,
-                seeds: &[],
+            midas_core::parallel::run_isolated(|| {
+                detector.detect(DetectInput {
+                    source: src,
+                    kb,
+                    seeds: &[],
+                })
             })
         };
         match result {

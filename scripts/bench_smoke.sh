@@ -94,13 +94,12 @@ echo "extent-free smoke OK: freeing = $F_KB KiB <= retaining = $R_KB KiB + 3% no
 
 # Incremental augmentation loop: every warm round replays the clean
 # subtrees from the round cache AND patches the dirty leaves' retained
-# hierarchies in place. The binary asserts bit-identical results across
-# all three paths every round; the gate requires the warm path to beat
-# the no-warm incremental path (PR 4 behaviour, forced in-process via
-# MIDAS_NO_WARM_HIERARCHY) by >= 3x over the warm rounds, and to beat
-# the from-scratch rebuild outright.
+# hierarchies in place. The binary asserts bit-identical results against
+# the from-scratch rebuild every round; the gate requires the warm path to
+# beat the rebuild by >= 12x over the warm rounds (38x measured on a
+# 2-vCPU host: 10.8 ms warm vs 410 ms rebuild at --threads 4).
 echo
-echo "== augmentation loop: warm vs no-warm incremental vs rebuild =="
+echo "== augmentation loop: warm incremental vs rebuild =="
 cargo build --offline -q --release -p midas-bench --bin augment_rounds
 AUGMENT="$(./target/release/augment_rounds --threads 4)"
 printf '%s\n' "$AUGMENT" | tee -a "$OUT"
@@ -108,16 +107,12 @@ ms_of() { printf '%s\n' "$AUGMENT" | grep warm_total | sed -n "s/.*\"$1_ms\":\([
 WARM_MS="$(ms_of warm)"
 FRESH_MS="$(ms_of rebuild)"
 RATIO="$(printf '%s\n' "$AUGMENT" | grep warm_total \
-    | sed -n 's/.*"warm_over_noreuse":\([0-9]*\)\..*/\1/p')"
-if [ "$WARM_MS" -ge "$FRESH_MS" ]; then
-    echo "augmentation smoke FAILED: warm incremental ($WARM_MS ms) not below rebuild ($FRESH_MS ms)" >&2
+    | sed -n 's/.*"warm_over_rebuild":\([0-9]*\)\..*/\1/p')"
+if [ -z "$RATIO" ] || [ "$RATIO" -lt 12 ]; then
+    echo "augmentation smoke FAILED: warm path only ${RATIO:-?}x over rebuild (need >= 12x)" >&2
     exit 1
 fi
-if [ -z "$RATIO" ] || [ "$RATIO" -lt 3 ]; then
-    echo "augmentation smoke FAILED: warm path only ${RATIO:-?}x over no-warm incremental (need >= 3x)" >&2
-    exit 1
-fi
-echo "augmentation smoke OK: warm = $WARM_MS ms < rebuild = $FRESH_MS ms; ${RATIO}x over no-warm incremental"
+echo "augmentation smoke OK: warm = $WARM_MS ms, rebuild = $FRESH_MS ms; ${RATIO}x over rebuild"
 
 # Telemetry overhead gate: with the metrics registry live (counters, span
 # histograms, per-round reconciliation snapshots) the augmentation loop's

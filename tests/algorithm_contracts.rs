@@ -153,3 +153,75 @@ fn saturated_kb_yields_nothing_actionable() {
         assert_eq!(positive, 0, "{name} found profit in a saturated KB");
     }
 }
+
+/// A detector that implements only `detect` runs through the trait's
+/// default `detect_leaf` on every framework path: over prebuilt tables and
+/// incrementally across accepts, each report must equal a cold
+/// `Framework::run` over the same knowledge base.
+#[test]
+fn baseline_detector_matches_cold_run_on_every_framework_path() {
+    use midas::core::FrameworkReport;
+    use std::collections::BTreeMap;
+
+    let ds = slim_gen(&SlimConfig {
+        flavor: SlimFlavor::Nell,
+        scale: 0.002,
+        seed: 19,
+    });
+    let sources = ds.sources;
+    let mut kb = ds.kb;
+    let cost = CostModel::default();
+    let greedy = Greedy::new(cost);
+    let fw = Framework::new(&greedy, cost);
+    let assert_same = |got: &FrameworkReport, want: &FrameworkReport, what: &str| {
+        assert_eq!(got.slices, want.slices, "{what}: slices differ");
+        assert_eq!(got.rounds, want.rounds, "{what}: rounds differ");
+        assert_eq!(
+            got.quarantine.len(),
+            want.quarantine.len(),
+            "{what}: quarantine differs"
+        );
+        assert_eq!(
+            got.hierarchies_reused, 0,
+            "{what}: greedy retains no hierarchy"
+        );
+    };
+
+    let tables: BTreeMap<SourceUrl, FactTable> = sources
+        .iter()
+        .map(|s| (s.url.clone(), FactTable::build(s, &kb)))
+        .collect();
+    assert_eq!(tables.len(), sources.len(), "corpus URLs are distinct");
+    let cold = fw.run(sources.clone(), &kb);
+    assert!(cold.slices.len() > 3, "corpus yields several slices");
+    assert_same(
+        &fw.run_with_tables(sources.clone(), &kb, &tables),
+        &cold,
+        "run_with_tables",
+    );
+
+    let mut cache = RoundCache::new();
+    let mut delta = KbDelta::new();
+    for round in 0..3 {
+        let incr = fw.run_incremental(&sources, &kb, &mut cache, &delta);
+        let cold = fw.run(sources.clone(), &kb);
+        assert_same(&incr, &cold, &format!("incremental round {round}"));
+        if round > 0 {
+            assert!(incr.reused > 0, "round {round}: nothing replayed");
+        }
+        // Accept the top suggestion as `Augmenter::accept` does: load its
+        // entities' facts from every source under its URL.
+        let best = &cold.slices[0];
+        let mut inserted = Vec::new();
+        for src in sources.iter().filter(|s| best.source.contains(&s.url)) {
+            for f in &src.facts {
+                if best.entities.binary_search(&f.subject).is_ok() && kb.insert(*f) {
+                    inserted.push(*f);
+                }
+            }
+        }
+        assert!(!inserted.is_empty(), "round {round}: accept added nothing");
+        delta = KbDelta::new();
+        delta.record(&sources, &inserted);
+    }
+}

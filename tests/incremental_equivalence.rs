@@ -129,7 +129,6 @@ fn drive_loop(corpus: &[SourceFacts], threads: usize, window: Option<usize>) -> 
             fresh.hierarchies_reused, 0,
             "from-scratch rebuilds never warm-patch"
         );
-        let warm_disabled = std::env::var_os("MIDAS_NO_WARM_HIERARCHY").is_some();
         if round == 0 {
             assert_eq!(incr.reused, 0, "first round runs on a cold cache");
             assert_eq!(
@@ -144,17 +143,10 @@ fn drive_loop(corpus: &[SourceFacts], threads: usize, window: Option<usize>) -> 
                 incr.detect_calls,
                 fresh.detect_calls
             );
-            if warm_disabled {
-                assert_eq!(
-                    incr.hierarchies_reused, 0,
-                    "round {round}: MIDAS_NO_WARM_HIERARCHY must force rebuilds"
-                );
-            } else {
-                assert!(
-                    incr.hierarchies_reused > 0,
-                    "round {round}: no leaf hierarchy was warm-patched"
-                );
-            }
+            assert!(
+                incr.hierarchies_reused > 0,
+                "round {round}: no leaf hierarchy was warm-patched"
+            );
         }
         let Some(best) = incr.slices.into_iter().find(|s| s.profit > 0.0) else {
             break;
@@ -233,11 +225,6 @@ fn quarantined_leaf_drops_warm_hierarchy_and_rebuilds_cold() {
     spare_entities.sort_unstable();
     spare_entities.dedup();
     let target_source = corpus[slot].url.clone();
-    // Under the escape hatch no hierarchy is ever retained, so every
-    // cached-count expectation collapses to zero; the bit-identity and
-    // quarantine assertions still hold unchanged.
-    let warm_disabled = std::env::var_os("MIDAS_NO_WARM_HIERARCHY").is_some();
-    let expect = |n: usize| if warm_disabled { 0 } else { n };
 
     for threads in THREADS {
         for window in WINDOWS {
@@ -249,7 +236,7 @@ fn quarantined_leaf_drops_warm_hierarchy_and_rebuilds_cold() {
             // domain0) dirties the target page for phase 2.
             let r1 = aug.suggest_report();
             assert_round_identical(&r1, &aug.suggest_fresh());
-            assert_eq!(aug.warm_hierarchies(), expect(n_leaves));
+            assert_eq!(aug.warm_hierarchies(), n_leaves);
             let best = r1
                 .slices
                 .into_iter()
@@ -273,11 +260,11 @@ fn quarantined_leaf_drops_warm_hierarchy_and_rebuilds_cold() {
             assert_eq!(r2.quarantine.len(), 1, "exactly the target is dropped");
             assert_eq!(
                 aug.warm_hierarchies(),
-                expect(n_leaves - 1),
+                n_leaves - 1,
                 "the quarantined leaf's hierarchy must be dropped"
             );
             assert!(
-                warm_disabled || r2.hierarchies_reused > 0,
+                r2.hierarchies_reused > 0,
                 "the other dirty domain0 pages still warm-patch"
             );
 
@@ -308,7 +295,7 @@ fn quarantined_leaf_drops_warm_hierarchy_and_rebuilds_cold() {
             );
             assert_eq!(
                 aug.warm_hierarchies(),
-                expect(n_leaves),
+                n_leaves,
                 "the cold rebuild re-retains the target's hierarchy"
             );
         }
