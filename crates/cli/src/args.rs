@@ -83,8 +83,9 @@ CACHING (discover, eval, augment):
 OBSERVABILITY (all subcommands):
   --metrics-json PATH      write a versioned JSON snapshot of every internal
                            counter and histogram to PATH at exit (schema
-                           `midas.metrics/v1`; diff two runs with
-                           scripts/metrics_compare.py)
+                           `midas.metrics/v1`; check it against the tracked
+                           baseline with scripts/metrics_compare.py
+                           --current PATH)
   --verbose-stats          print a compact metrics table after the normal
                            output (emitted as `#` comments in --csv mode)
   The MIDAS_TRACE=spans[:PATH] environment variable streams JSONL span events

@@ -417,11 +417,7 @@ fn discover(
         writeln!(out, "\nProfit breakdowns:")?;
         for (i, s) in slices.iter().take(top).enumerate() {
             // Rebuild the slice's context against its own source scope.
-            let scope: Vec<SourceFacts> = sources
-                .iter()
-                .filter(|src| s.source.contains(&src.url))
-                .cloned()
-                .collect();
+            let scope = sources.iter().filter(|src| s.source.contains(&src.url));
             let merged = SourceFacts::merge(s.source.clone(), scope);
             let table_w = FactTable::build(&merged, &kb);
             let ctx = ProfitCtx::new(&table_w, cost);

@@ -47,6 +47,16 @@
 //! invariant the `incremental_equivalence` integration suite pins down
 //! across the threads × stream-window matrix.
 //!
+//! A warm round costs what the delta changed, not the corpus:
+//!
+//! * the projection looks up each inserted fact's subject in a
+//!   [`SubjectIndex`] built once per corpus and checks only the sources it
+//!   lists;
+//! * replayed leaves and shards are folded in place from the cache and get
+//!   no pool task;
+//! * a parent's working set is merged from the surviving leaves of its
+//!   subtree only when its shard executes, on cold and warm runs alike.
+
 //! ### Approximations relative to the paper
 //!
 //! * Entities appearing on several sibling pages are counted once per slice
@@ -71,8 +81,8 @@
 //! (fault-injection plans are deterministic per task coordinate), so
 //! incremental runs reproduce the same quarantine.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
 
 use midas_kb::{Fact, KnowledgeBase, Symbol};
 use midas_weburl::SourceUrl;
@@ -129,6 +139,51 @@ struct Candidate {
     origin_total_facts: usize,
 }
 
+/// Which corpus sources hold facts about each subject: the index
+/// [`KbDelta::record`] projects insertions through. It is one sorted list
+/// of `(subject, source position)` pairs, a source appearing once per
+/// distinct subject it holds, so it costs 8 bytes per pair and a lookup is
+/// one binary search. Build it once per corpus.
+#[derive(Debug, Clone, Default)]
+pub struct SubjectIndex {
+    pairs: Vec<(Symbol, u32)>,
+    sources: usize,
+}
+
+impl SubjectIndex {
+    /// Indexes `corpus` by subject.
+    pub fn new(corpus: &[SourceFacts]) -> Self {
+        let mut pairs = Vec::new();
+        for (position, src) in corpus.iter().enumerate() {
+            let position = u32::try_from(position).expect("corpus positions fit in u32");
+            // Facts are sorted by subject first, so each subject is one run.
+            let mut last = None;
+            for f in src.facts.iter() {
+                if last != Some(f.subject) {
+                    pairs.push((f.subject, position));
+                    last = Some(f.subject);
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs.shrink_to_fit();
+        SubjectIndex {
+            pairs,
+            sources: corpus.len(),
+        }
+    }
+
+    /// Positions of the sources holding at least one fact about `subject`,
+    /// ascending.
+    fn sources_of(&self, subject: Symbol) -> impl Iterator<Item = usize> + '_ {
+        let start = self.pairs.partition_point(|&(s, _)| s < subject);
+        self.pairs[start..]
+            .iter()
+            .take_while(move |&&(s, _)| s == subject)
+            .map(|&(_, position)| position as usize)
+    }
+}
+
 /// The projection of a knowledge-base insertion delta onto a corpus: which
 /// sources' fact sets intersect the inserted facts (exactly the sources
 /// whose `new`-flag profile can have changed), and which subjects the
@@ -154,24 +209,23 @@ impl KbDelta {
     }
 
     /// Records facts newly inserted into the knowledge base, marking every
-    /// corpus source whose fact set contains one of them as dirty.
-    /// `inserted` must hold only facts whose `KnowledgeBase::insert`
-    /// returned `true`: a fact the KB already knew flips no `new` flag and
-    /// must not dirty anything.
-    pub fn record(&mut self, corpus: &[SourceFacts], inserted: &[Fact]) {
-        if inserted.is_empty() {
-            return;
-        }
+    /// corpus source whose fact set contains one of them as dirty. `index`
+    /// must be [`SubjectIndex::new`] of `corpus`: only the sources it lists
+    /// under an inserted fact's subject can hold the fact, and each of those
+    /// is checked for the fact itself, so a source holding the subject but
+    /// not the fact stays clean. `inserted` must hold only facts whose
+    /// `KnowledgeBase::insert` returned `true`: a fact the KB already knew
+    /// flips no `new` flag and must not dirty anything.
+    pub fn record(&mut self, index: &SubjectIndex, corpus: &[SourceFacts], inserted: &[Fact]) {
+        debug_assert_eq!(index.sources, corpus.len(), "index of another corpus");
         for f in inserted {
             self.subjects.insert(f.subject);
-        }
-        for src in corpus {
-            if self.sources.contains(&src.url) {
-                continue;
-            }
-            // `SourceFacts` keeps its facts sorted and deduplicated.
-            if inserted.iter().any(|f| src.facts.binary_search(f).is_ok()) {
-                self.sources.insert(src.url.clone());
+            for position in index.sources_of(f.subject) {
+                let src = &corpus[position];
+                // `SourceFacts` keeps its facts sorted and deduplicated.
+                if src.facts.binary_search(f).is_ok() && !self.sources.contains(&src.url) {
+                    self.sources.insert(src.url.clone());
+                }
             }
         }
     }
@@ -188,19 +242,48 @@ struct CachedTask {
     fault: Option<SourceFault>,
 }
 
+/// The result-affecting framework configuration, the part of a
+/// [`CacheSig`] that does not depend on the corpus.
+#[derive(Debug, PartialEq)]
+struct SigConfig {
+    detector: &'static str,
+    cost_bits: [u64; 4],
+    policy: ExportPolicy,
+    max_facts: Option<usize>,
+    max_nodes: Option<usize>,
+}
+
 /// The result-affecting configuration a [`RoundCache`] was built under.
 /// Replaying cached outcomes is only sound against the exact same corpus,
 /// detector, cost model, export policy, and deterministic budget caps; any
 /// mismatch restarts the cache cold. (The wall-clock `deadline` budget is
 /// deliberately excluded — it is non-deterministic to begin with.)
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 struct CacheSig {
-    detector: &'static str,
+    config: SigConfig,
+    /// `(URL, fact count)` of every round-0 leaf, in leaf order.
     leaves: Vec<(SourceUrl, usize)>,
-    cost_bits: [u64; 4],
-    policy: ExportPolicy,
-    max_facts: Option<usize>,
-    max_nodes: Option<usize>,
+}
+
+impl CacheSig {
+    fn new(config: SigConfig, leaves: &[Cow<'_, SourceFacts>]) -> Self {
+        CacheSig {
+            config,
+            leaves: leaves.iter().map(|s| (s.url.clone(), s.len())).collect(),
+        }
+    }
+
+    /// Whether this signature is the one `new(config, leaves)` would build,
+    /// checked in place.
+    fn matches(&self, config: &SigConfig, leaves: &[Cow<'_, SourceFacts>]) -> bool {
+        self.config == *config
+            && self.leaves.len() == leaves.len()
+            && self
+                .leaves
+                .iter()
+                .zip(leaves)
+                .all(|((url, n), s)| *url == s.url && *n == s.len())
+    }
 }
 
 /// Cross-round memo for [`Framework::run_incremental`]: per-task outcomes
@@ -282,42 +365,82 @@ pub struct FrameworkReport {
     pub quarantine: Quarantine,
 }
 
-/// A source travelling through the rounds: round-0 leaves of an incremental
-/// run borrow the caller's corpus (no deep clone per `suggest()`), while
-/// moved-in inputs and merged parents are owned.
-enum RoundSource<'a> {
-    Leaf(&'a SourceFacts),
-    Owned(SourceFacts),
+/// Normalises round-0 inputs into the leaf list: sorted by URL, one entry
+/// per URL (inputs sharing a URL are merged). An already sorted, distinct
+/// list (the common case) passes through untouched, so an incremental run's
+/// borrowed corpus is not copied.
+fn normalise(mut leaves: Vec<Cow<'_, SourceFacts>>) -> Vec<Cow<'_, SourceFacts>> {
+    if leaves.windows(2).all(|w| w[0].url < w[1].url) {
+        return leaves;
+    }
+    leaves.sort_by(|a, b| a.url.cmp(&b.url));
+    let mut out: Vec<Cow<'_, SourceFacts>> = Vec::with_capacity(leaves.len());
+    for s in leaves {
+        match out.pop() {
+            Some(last) if last.url == s.url => {
+                out.push(Cow::Owned(SourceFacts::merge(s.url.clone(), [last, s])));
+            }
+            last => {
+                out.extend(last);
+                out.push(s);
+            }
+        }
+    }
+    out
 }
 
-impl RoundSource<'_> {
-    fn as_facts(&self) -> &SourceFacts {
-        match self {
-            RoundSource::Leaf(s) => s,
-            RoundSource::Owned(s) => s,
-        }
-    }
+/// The leaves under `parent` (itself included), in URL order. `leaves` is
+/// sorted by canonical URL string, so the subtree lies inside the range of
+/// URLs starting with the parent's string; that range also holds siblings
+/// such as `/doc-x` and `/doc_sat` next to `/doc`, which
+/// [`SourceUrl::contains`] filters out.
+fn subtree<'s>(
+    leaves: &'s [Cow<'_, SourceFacts>],
+    parent: &'s SourceUrl,
+) -> impl Iterator<Item = &'s SourceFacts> {
+    let start = leaves.partition_point(|s| s.url < *parent);
+    leaves[start..]
+        .iter()
+        .map(|s| &**s)
+        .take_while(|s| s.url.as_str().starts_with(parent.as_str()))
+        .filter(|s| parent.contains(&s.url))
+}
 
-    fn into_owned(self) -> SourceFacts {
-        match self {
-            RoundSource::Leaf(s) => s.clone(),
-            RoundSource::Owned(s) => s,
-        }
+/// The working set of a merge-round parent: the union of the surviving
+/// leaves in its subtree, built when (and only when) its shard executes.
+fn merged_parent(leaves: &[Cow<'_, SourceFacts>], parent: &SourceUrl) -> SourceFacts {
+    SourceFacts::merge(parent.clone(), subtree(leaves, parent))
+}
+
+/// Appends `kept` to the candidates exported at `url`.
+fn export(
+    candidates: &mut BTreeMap<SourceUrl, Vec<Candidate>>,
+    url: &SourceUrl,
+    kept: impl IntoIterator<Item = Candidate>,
+) {
+    let mut kept = kept.into_iter().peekable();
+    if kept.peek().is_some() {
+        candidates.entry(url.clone()).or_default().extend(kept);
     }
 }
 
-/// Inserts a leaf into the normalised URL map, merging on URL collision.
-fn insert_leaf<'a>(by_url: &mut BTreeMap<SourceUrl, RoundSource<'a>>, s: RoundSource<'a>) {
-    let url = s.as_facts().url.clone();
-    match by_url.remove(&url) {
-        Some(existing) => {
-            let merged = SourceFacts::merge(url.clone(), [existing.into_owned(), s.into_owned()]);
-            by_url.insert(url, RoundSource::Owned(merged));
-        }
-        None => {
-            by_url.insert(url, s);
-        }
+/// Pushes one round's quarantine entries in task order. Replayed and
+/// executed tasks fold separately, so their faults are collected with
+/// their task position and sorted here.
+fn push_faults(quarantine: &mut Quarantine, mut faults: Vec<(usize, SourceFault)>) {
+    faults.sort_by_key(|&(position, _)| position);
+    for (_, fault) in faults {
+        quarantine.push(fault);
     }
+}
+
+/// One round-0 leaf that executes: its position in leaf order (the
+/// fault-injection coordinate), its facts, and the warm hierarchy it takes
+/// from the cache, if any.
+struct LeafRun<'s> {
+    index: usize,
+    src: &'s SourceFacts,
+    warm: Option<(SliceHierarchy, Vec<EntityId>)>,
 }
 
 /// The shard → detect → consolidate driver.
@@ -396,12 +519,8 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
 
     /// Runs the framework over a corpus of per-source fact sets.
     pub fn run(&self, sources: Vec<SourceFacts>, kb: &KnowledgeBase) -> FrameworkReport {
-        // Normalise: merge inputs sharing a URL.
-        let mut by_url: BTreeMap<SourceUrl, RoundSource<'_>> = BTreeMap::new();
-        for s in sources {
-            insert_leaf(&mut by_url, RoundSource::Owned(s));
-        }
-        self.drive(by_url, kb, None, None, BTreeMap::new())
+        let leaves = normalise(sources.into_iter().map(Cow::Owned).collect());
+        self.drive(leaves, kb, None, None, BTreeMap::new())
     }
 
     /// Like [`Framework::run`], but round-0 detection reuses the prebuilt
@@ -416,11 +535,8 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
         kb: &KnowledgeBase,
         tables: &BTreeMap<SourceUrl, FactTable>,
     ) -> FrameworkReport {
-        let mut by_url: BTreeMap<SourceUrl, RoundSource<'_>> = BTreeMap::new();
-        for s in sources {
-            insert_leaf(&mut by_url, RoundSource::Owned(s));
-        }
-        self.drive(by_url, kb, None, Some(tables), BTreeMap::new())
+        let leaves = normalise(sources.into_iter().map(Cow::Owned).collect());
+        self.drive(leaves, kb, None, Some(tables), BTreeMap::new())
     }
 
     /// Incremental counterpart of [`Framework::run`] for the augmentation
@@ -448,32 +564,35 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
         cache: &mut RoundCache,
         delta: &KbDelta,
     ) -> FrameworkReport {
-        let mut by_url: BTreeMap<SourceUrl, RoundSource<'_>> = BTreeMap::new();
-        for s in sources {
-            insert_leaf(&mut by_url, RoundSource::Leaf(s));
-        }
+        let leaves = normalise(sources.iter().map(Cow::Borrowed).collect());
         // A cache is only valid for the corpus and configuration it was
         // built under; on any mismatch, start cold.
-        let sig = self.cache_sig(&by_url);
-        if cache.sig.as_ref() != Some(&sig) {
-            cache.reset(sig);
+        let config = self.sig_config();
+        if !cache
+            .sig
+            .as_ref()
+            .is_some_and(|sig| sig.matches(&config, &leaves))
+        {
+            cache.reset(CacheSig::new(config, &leaves));
         }
         // Invalidate what the delta touches: the dirty leaves themselves and
-        // every merge shard whose subtree contains one. Outcomes that are
-        // dropped here re-execute in `drive` and re-memoise; outcomes whose
-        // shard does not even re-form (a dirty leaf stopped exporting) must
-        // not linger, or a later clean round would replay phantoms.
+        // every merge shard whose parent URL contains one (the leaf's own
+        // URL, which can also be a parent, and its ancestors). Outcomes that
+        // are dropped here re-execute in `drive` and re-memoise; outcomes
+        // whose shard does not even re-form (a dirty leaf stopped exporting)
+        // must not linger, or a later clean round would replay phantoms.
         let dirty: Vec<&SourceUrl> = delta
             .sources
             .iter()
-            .filter(|u| by_url.contains_key(*u))
+            .filter(|u| leaves.binary_search_by(|s| s.url.cmp(u)).is_ok())
             .collect();
         for url in &dirty {
             cache.leaves.remove(*url);
+            cache.shards.remove(*url);
+            for parent in url.ancestors() {
+                cache.shards.remove(&parent);
+            }
         }
-        cache
-            .shards
-            .retain(|parent, _| dirty.iter().all(|leaf| !parent.contains(leaf)));
         // Dirty leaves keep their cached fact table: structure is unchanged,
         // only the `new` flags of rows keyed by the delta's subjects are
         // stale — refresh those in place instead of rebuilding. Afterwards
@@ -490,19 +609,12 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
                 changed_by_url.insert((*url).clone(), changed);
             }
         }
-        self.drive(by_url, kb, Some(cache), None, changed_by_url)
+        self.drive(leaves, kb, Some(cache), None, changed_by_url)
     }
 
-    fn cache_sig(&self, by_url: &BTreeMap<SourceUrl, RoundSource<'_>>) -> CacheSig {
-        CacheSig {
+    fn sig_config(&self) -> SigConfig {
+        SigConfig {
             detector: self.detector.name(),
-            leaves: by_url
-                .values()
-                .map(|s| {
-                    let s = s.as_facts();
-                    (s.url.clone(), s.len())
-                })
-                .collect(),
             cost_bits: [
                 self.cost.fp.to_bits(),
                 self.cost.fc.to_bits(),
@@ -518,12 +630,13 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
     /// The round driver shared by [`Framework::run`] (`incr = None`: every
     /// task executes) and [`Framework::run_incremental`] (`incr = Some`:
     /// tasks with a surviving cache entry are replayed, the rest execute and
-    /// re-memoise). `changed_by_url` holds, per dirty leaf with a cached
+    /// re-memoise). `leaves` is the normalised round-0 list (sorted by URL,
+    /// distinct). `changed_by_url` holds, per dirty leaf with a cached
     /// table, the entity ids whose `new`-fact counts moved: the bound of
     /// that leaf's warm hierarchy patch ([`SliceHierarchy::warm_patch`]).
     fn drive(
         &self,
-        mut by_url: BTreeMap<SourceUrl, RoundSource<'_>>,
+        mut leaves: Vec<Cow<'_, SourceFacts>>,
         kb: &KnowledgeBase,
         mut incr: Option<&mut RoundCache>,
         prebuilt: Option<&BTreeMap<SourceUrl, FactTable>>,
@@ -534,78 +647,74 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
         let mut reused_total = 0usize;
         let mut hierarchies_reused = 0usize;
         let mut quarantine = Quarantine::new();
+        let mut candidates: BTreeMap<SourceUrl, Vec<Candidate>> = BTreeMap::new();
 
-        // Round 0: per-source detection, entity-based initial slices. Each
-        // leaf runs isolated under the per-source budget; `index` is the
-        // leaf's position in the deterministic sorted source order (the
-        // coordinate fault-injection plans target). Leaves stream through a
-        // bounded window: each result is folded into the candidate map in
-        // source order as soon as its turn completes, so only `window`
-        // detections' worth of state is ever in flight. In incremental runs
-        // a leaf with a surviving cache entry becomes a no-op task whose
-        // outcome the sink replays at the leaf's slot in that same order.
-        let leaf_meta: Vec<(SourceUrl, usize)> = by_url
-            .values()
-            .map(|s| {
-                let s = s.as_facts();
-                (s.url.clone(), s.len())
-            })
-            .collect();
-        let leaf_sources: Vec<(usize, &SourceFacts)> = by_url
-            .values()
-            .map(RoundSource::as_facts)
-            .enumerate()
-            .collect();
-        let window = self.window_for(leaf_sources.len());
-
-        let mut plan: Vec<Option<CachedTask>> = match incr.as_deref() {
-            Some(cache) => leaf_meta
-                .iter()
-                .map(|(url, _)| cache.leaves.get(url).cloned())
-                .collect(),
-            None => leaf_meta.iter().map(|_| None).collect(),
-        };
-        let reuse_mask: Vec<bool> = plan.iter().map(Option::is_some).collect();
-        // Hand the retained hierarchy of every leaf that will actually
-        // execute to its worker through a per-leaf slot (workers take
-        // ownership; the slot of a leaf that faults before taking it is
-        // drained after the round). Clean leaves replay their cached outcome
-        // and keep their hierarchy cached untouched.
-        type WarmSlot = Mutex<Option<(SliceHierarchy, Vec<EntityId>)>>;
-        let mut warm_slots: Vec<WarmSlot> =
-            (0..leaf_meta.len()).map(|_| Mutex::new(None)).collect();
-        if let Some(cache) = incr.as_deref_mut() {
-            for (index, (url, _)) in leaf_meta.iter().enumerate() {
-                if reuse_mask[index] {
-                    continue;
+        // Round 0: per-source detection, entity-based initial slices. A leaf
+        // whose outcome survives in the cache is replayed here and gets no
+        // pool task; the cache's leaf map and the leaf list are both in URL
+        // order, so one merge walk pairs them. Each executing leaf takes its
+        // retained hierarchy out of the cache and runs isolated under the
+        // per-source budget; `index` is its position in leaf order (the
+        // coordinate fault-injection plans target). Executing leaves stream
+        // through a bounded window, each result folded into the candidate
+        // map as soon as its turn completes, so only `window` detections'
+        // worth of state is ever in flight.
+        let mut faults: Vec<(usize, SourceFault)> = Vec::new();
+        let mut runs: Vec<LeafRun<'_>> = Vec::new();
+        let mut reused = 0usize;
+        let tables = match incr.as_deref_mut() {
+            Some(cache) => {
+                let mut cached = cache.leaves.iter().peekable();
+                for (index, src) in leaves.iter().enumerate() {
+                    match cached.next_if(|(url, _)| **url == src.url) {
+                        Some((_, task)) => {
+                            reused += 1;
+                            if let Some(fault) = &task.fault {
+                                faults.push((index, fault.clone()));
+                            }
+                            export(&mut candidates, &src.url, task.kept.iter().cloned());
+                        }
+                        None => runs.push(LeafRun {
+                            index,
+                            src,
+                            warm: cache
+                                .hierarchies
+                                .remove(&src.url)
+                                .map(|h| (h, changed_by_url.remove(&src.url).unwrap_or_default())),
+                        }),
+                    }
                 }
-                if let Some(h) = cache.hierarchies.remove(url) {
-                    let changed = changed_by_url.remove(url).unwrap_or_default();
-                    warm_slots[index] = Mutex::new(Some((h, changed)));
-                }
+                Some(&cache.tables)
             }
-        }
-        // Shared ref for the worker tasks; new entries collect into locals
-        // and land in the cache after the round (the sink cannot hold the
-        // cache mutably while tasks read the tables).
-        let tables = incr.as_deref().map(|cache| &cache.tables).or(prebuilt);
+            None => {
+                runs = leaves
+                    .iter()
+                    .enumerate()
+                    .map(|(index, src)| LeafRun {
+                        index,
+                        src,
+                        warm: None,
+                    })
+                    .collect();
+                prebuilt
+            }
+        };
+        let run_index: Vec<usize> = runs.iter().map(|r| r.index).collect();
+        let window = self.window_for(runs.len());
+        // New cache entries collect into locals and land in the cache after
+        // the round (tasks read the cached tables meanwhile).
         let mut new_leaves: Vec<(SourceUrl, CachedTask)> = Vec::new();
         let mut new_tables: Vec<(SourceUrl, FactTable)> = Vec::new();
         let mut new_hierarchies: Vec<(SourceUrl, SliceHierarchy)> = Vec::new();
-
-        let mut candidates: BTreeMap<SourceUrl, Vec<Candidate>> = BTreeMap::new();
-        let mut faulted: Vec<SourceUrl> = Vec::new();
         let mut executed = 0usize;
-        let mut reused = 0usize;
         let detect_span = telemetry::span("framework.detect", &metrics::DETECT_NS);
         par_map_streamed(
             self.threads,
             window,
-            leaf_sources,
-            |(index, src)| -> Option<LeafOutcome> {
-                if reuse_mask[index] {
-                    return None;
-                }
+            runs,
+            |LeafRun { index, src, warm }| -> LeafOutcome {
+                // A leaf that faults from here on drops its warm hierarchy
+                // with the unwind: a quarantined source restarts cold.
                 self.guard_task(src.url.as_str(), index, src.len());
                 let _scope = BudgetScope::enter(&self.budget);
                 let input = DetectInput {
@@ -617,35 +726,23 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
                 // rebuild, and last round's hierarchy is patched in place.
                 let state = LeafState {
                     table: tables.and_then(|t| t.get(&src.url)),
-                    warm: warm_slots[index].lock().ok().and_then(|mut s| s.take()),
+                    warm,
                     retain: incremental,
                 };
-                Some(self.detector.detect_leaf(input, state))
+                self.detector.detect_leaf(input, state)
             },
-            |index, result| {
-                let (url, facts_seen) = &leaf_meta[index];
+            |ri, result| {
+                executed += 1;
+                let index = run_index[ri];
+                let url = &leaves[index].url;
+                let facts_seen = leaves[index].len();
                 match result {
-                    Ok(None) => {
-                        let cached = plan[index].take().expect("reuse-marked leaf has an entry");
-                        reused += 1;
-                        if let Some(fault) = &cached.fault {
-                            quarantine.push(fault.clone());
-                            faulted.push(url.clone());
-                        }
-                        if !cached.kept.is_empty() {
-                            candidates
-                                .entry(url.clone())
-                                .or_default()
-                                .extend(cached.kept);
-                        }
-                    }
-                    Ok(Some(LeafOutcome {
+                    Ok(LeafOutcome {
                         mut slices,
                         table,
                         hierarchy,
                         warmed,
-                    })) => {
-                        executed += 1;
+                    }) => {
                         if warmed {
                             hierarchies_reused += 1;
                             metrics::HIERARCHIES_WARM_REUSED.add_always(1);
@@ -656,7 +753,7 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
                             .filter(|s| self.exportable(s))
                             .map(|slice| Candidate {
                                 slice,
-                                origin_total_facts: *facts_seen,
+                                origin_total_facts: facts_seen,
                             })
                             .collect();
                         if incremental {
@@ -674,17 +771,14 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
                                 new_hierarchies.push((url.clone(), h));
                             }
                         }
-                        if !kept.is_empty() {
-                            candidates.entry(url.clone()).or_default().extend(kept);
-                        }
+                        export(&mut candidates, url, kept);
                     }
                     Err(fault) => {
-                        executed += 1;
                         let sf = SourceFault {
                             source: url.as_str().to_string(),
                             stage: Stage::Detect,
                             cause: fault.cause,
-                            facts_seen: *facts_seen,
+                            facts_seen,
                         };
                         if incremental {
                             new_leaves.push((
@@ -695,8 +789,7 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
                                 },
                             ));
                         }
-                        quarantine.push(sf);
-                        faulted.push(url.clone());
+                        faults.push((index, sf));
                     }
                 }
             },
@@ -706,18 +799,8 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
         reused_total += reused;
         metrics::DETECT_CALLS.add_always(executed as u64);
         metrics::TASKS_REUSED.add_always(reused as u64);
-        // A leaf that faulted before its worker took the warm slot leaves
-        // the hierarchy behind — recycle it here, so a quarantined source
-        // always restarts cold if it ever recovers.
-        for slot in warm_slots {
-            if let Ok(Some((h, _))) = slot.into_inner() {
-                h.recycle();
-            }
-        }
         if let Some(cache) = incr.as_deref_mut() {
-            for (url, entry) in new_leaves {
-                cache.leaves.insert(url, entry);
-            }
+            cache.leaves.extend(new_leaves);
             for (url, table) in new_tables {
                 if let Some(old) = cache.tables.insert(url, table) {
                     old.recycle();
@@ -729,41 +812,29 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
                 }
             }
         }
-        // Discard quarantined leaves *before* the merge loop: their facts
+        // Discard quarantined leaves *before* the merge rounds: their facts
         // never reach a parent, so the run over the surviving N−k sources is
         // identical to a clean run that was never given the faulted k.
-        for url in &faulted {
-            by_url.remove(url);
+        if !faults.is_empty() {
+            let mut dead: Vec<usize> = faults.iter().map(|&(index, _)| index).collect();
+            dead.sort_unstable();
+            let mut index = 0usize;
+            leaves.retain(|_| {
+                let keep = dead.binary_search(&index).is_err();
+                index += 1;
+                keep
+            });
         }
+        push_faults(&mut quarantine, faults);
 
-        // Depth rounds, finest to coarsest.
-        let max_depth = by_url.keys().map(SourceUrl::depth).max().unwrap_or(0);
+        // Depth rounds, finest to coarsest. `leaves` holds only the
+        // surviving leaves; a parent's working set is merged from its
+        // subtree inside its shard's task, so replayed shards merge nothing.
+        let max_depth = leaves.iter().map(|s| s.url.depth()).max().unwrap_or(0);
         let mut rounds = 0usize;
         for d in (1..=max_depth).rev() {
             rounds += 1;
             let shard_span = telemetry::span("framework.shard", &metrics::SHARD_NS);
-            // Merge sources at depth d into their parents: group each
-            // parent's children first, then merge every group in one pass
-            // (one sort + dedup per parent instead of one per child).
-            let deep_urls: Vec<SourceUrl> =
-                by_url.keys().filter(|u| u.depth() == d).cloned().collect();
-            let mut regrouped: BTreeMap<SourceUrl, Vec<SourceFacts>> = BTreeMap::new();
-            for url in deep_urls {
-                let child = by_url.remove(&url).expect("url present");
-                let parent = url.parent().expect("depth ≥ 1 has a parent");
-                regrouped
-                    .entry(parent)
-                    .or_default()
-                    .push(child.into_owned());
-            }
-            for (parent, mut children) in regrouped {
-                if let Some(own) = by_url.remove(&parent) {
-                    children.push(own.into_owned());
-                }
-                let merged = SourceFacts::merge(parent.clone(), children);
-                by_url.insert(parent, RoundSource::Owned(merged));
-            }
-
             // Shard candidates at depth d by parent.
             let deep_positions: Vec<SourceUrl> = candidates
                 .keys()
@@ -786,115 +857,102 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
             }
             drop(shard_span);
 
-            // Detect + consolidate per parent shard, streamed through the
-            // bounded window. Tasks borrow the work list so that a faulting
-            // parent's child candidates can be recovered in the sink (the
-            // clone happens only on that rare fault path).
+            // Replay cached shards, then detect + consolidate the rest,
+            // streamed through the bounded window. Tasks borrow the work
+            // list so that a faulting parent's child candidates can be
+            // recovered in the sink (the clone happens only on that rare
+            // fault path).
             let work: Vec<(SourceUrl, Vec<Candidate>)> = shards.into_iter().collect();
-            let mut shard_plan: Vec<Option<CachedTask>> = match incr.as_deref() {
-                Some(cache) => work
-                    .iter()
-                    .map(|(parent, _)| cache.shards.get(parent).cloned())
-                    .collect(),
-                None => work.iter().map(|_| None).collect(),
-            };
-            let shard_reuse: Vec<bool> = shard_plan.iter().map(Option::is_some).collect();
-            let indices: Vec<usize> = (0..work.len()).collect();
-            let window = self.window_for(work.len());
-            let mut executed = 0usize;
+            let mut faults: Vec<(usize, SourceFault)> = Vec::new();
+            let mut runs: Vec<usize> = Vec::new();
             let mut reused = 0usize;
+            for (wi, (parent, _)) in work.iter().enumerate() {
+                match incr.as_deref().and_then(|cache| cache.shards.get(parent)) {
+                    Some(task) => {
+                        reused += 1;
+                        if let Some(fault) = &task.fault {
+                            faults.push((wi, fault.clone()));
+                        }
+                        export(&mut candidates, parent, task.kept.iter().cloned());
+                    }
+                    None => runs.push(wi),
+                }
+            }
+            let run_index = runs.clone();
+            let window = self.window_for(runs.len());
+            let mut new_shards: Vec<(SourceUrl, CachedTask)> = Vec::new();
+            let mut executed = 0usize;
             let consolidate_span =
                 telemetry::span("framework.consolidate", &metrics::CONSOLIDATE_NS);
             par_map_streamed(
                 self.threads,
                 window,
-                indices,
-                |wi| -> Option<Vec<Candidate>> {
-                    if shard_reuse[wi] {
-                        return None;
-                    }
+                runs,
+                |wi| -> Vec<Candidate> {
                     let (parent, inputs) = &work[wi];
+                    let parent_src = merged_parent(&leaves, parent);
                     // Merge-round tasks are only addressable by URL substring
                     // (index coordinates name round-0 leaves).
-                    self.guard_task(parent.as_str(), usize::MAX, by_url[parent].as_facts().len());
+                    self.guard_task(parent.as_str(), usize::MAX, parent_src.len());
                     let _scope = BudgetScope::enter(&self.budget);
-                    let parent_src = by_url[parent].as_facts();
                     let seeds = seed_sets(inputs);
                     let detected = self.detector.detect(DetectInput {
-                        source: parent_src,
+                        source: &parent_src,
                         kb,
                         seeds: &seeds,
                     });
-                    Some(self.consolidate(detected, inputs.clone(), parent_src.len()))
+                    self.consolidate(detected, inputs.clone(), parent_src.len())
                 },
-                |wi, result| {
+                |ri, result| {
+                    executed += 1;
+                    let wi = run_index[ri];
                     let (parent, inputs) = &work[wi];
                     match result {
-                        Ok(None) => {
-                            let cached = shard_plan[wi]
-                                .take()
-                                .expect("reuse-marked shard has an entry");
-                            reused += 1;
-                            if let Some(fault) = &cached.fault {
-                                quarantine.push(fault.clone());
-                            }
-                            if !cached.kept.is_empty() {
-                                candidates
-                                    .entry(parent.clone())
-                                    .or_default()
-                                    .extend(cached.kept);
-                            }
-                        }
-                        Ok(Some(survivors)) => {
-                            executed += 1;
+                        Ok(survivors) => {
                             let kept: Vec<Candidate> = survivors
                                 .into_iter()
                                 .filter(|c| self.exportable(&c.slice))
                                 .collect();
-                            if let Some(cache) = incr.as_deref_mut() {
-                                cache.shards.insert(
+                            if incremental {
+                                new_shards.push((
                                     parent.clone(),
                                     CachedTask {
                                         kept: kept.clone(),
                                         fault: None,
                                     },
-                                );
+                                ));
                             }
-                            if !kept.is_empty() {
-                                candidates.entry(parent.clone()).or_default().extend(kept);
-                            }
+                            export(&mut candidates, parent, kept);
                         }
                         Err(fault) => {
-                            executed += 1;
                             let sf = SourceFault {
                                 source: parent.as_str().to_string(),
                                 stage: Stage::Consolidate,
                                 cause: fault.cause,
-                                facts_seen: by_url.get(parent).map_or(0, |s| s.as_facts().len()),
+                                facts_seen: merged_parent(&leaves, parent).len(),
                             };
                             // The parent's own detection is lost, but the
                             // children's candidates keep competing upward.
-                            if let Some(cache) = incr.as_deref_mut() {
-                                cache.shards.insert(
+                            if incremental {
+                                new_shards.push((
                                     parent.clone(),
                                     CachedTask {
                                         kept: inputs.clone(),
                                         fault: Some(sf.clone()),
                                     },
-                                );
+                                ));
                             }
-                            quarantine.push(sf);
-                            if !inputs.is_empty() {
-                                candidates
-                                    .entry(parent.clone())
-                                    .or_default()
-                                    .extend(inputs.iter().cloned());
-                            }
+                            faults.push((wi, sf));
+                            export(&mut candidates, parent, inputs.iter().cloned());
                         }
                     }
                 },
             );
             drop(consolidate_span);
+            if let Some(cache) = incr.as_deref_mut() {
+                cache.shards.extend(new_shards);
+            }
+            push_faults(&mut quarantine, faults);
             detect_calls += executed;
             reused_total += reused;
             metrics::DETECT_CALLS.add_always(executed as u64);
@@ -1053,8 +1111,10 @@ mod tests {
     use super::*;
     use crate::config::MidasConfig;
     use crate::fixtures::skyrocket_pages;
+    use crate::incremental::Augmenter;
     use crate::single_source::MidasAlg;
     use midas_kb::Interner;
+    use std::time::Duration;
 
     fn run_running_example(threads: usize) -> (Interner, FrameworkReport) {
         let mut t = Interner::new();
@@ -1273,5 +1333,265 @@ mod tests {
         let report = fw2.run_incremental(&pages, &kb, &mut cache, &KbDelta::new());
         assert_eq!(report.reused, 0);
         assert!(report.detect_calls > 0);
+    }
+
+    /// Tiny deterministic generator for the randomised tests below.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// The dirty set by brute force: every source holding an inserted fact.
+    fn scan_delta(corpus: &[SourceFacts], inserted: &[Fact]) -> KbDelta {
+        KbDelta {
+            sources: corpus
+                .iter()
+                .filter(|src| inserted.iter().any(|f| src.facts.contains(f)))
+                .map(|src| src.url.clone())
+                .collect(),
+            subjects: inserted.iter().map(|f| f.subject).collect(),
+        }
+    }
+
+    #[test]
+    fn indexed_projection_matches_a_full_scan() {
+        for seed in 1..=200u64 {
+            let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let mut t = Interner::new();
+            let fact = |t: &mut Interner, s: usize, p: usize, o: usize| {
+                Fact::intern(t, &format!("e{s}"), &format!("p{p}"), &format!("o{o}"))
+            };
+            let domains = ["http://a.com", "http://b.org", "http://c.net"];
+            let mut pages: Vec<(SourceUrl, Vec<Fact>)> = Vec::new();
+            for i in 0..2 + rng.below(10) {
+                let domain = domains[rng.below(domains.len())];
+                let url = SourceUrl::parse(&format!("{domain}/d{}/p{i}", rng.below(3))).unwrap();
+                let facts = (0..rng.below(12))
+                    .map(|_| fact(&mut t, rng.below(8), rng.below(3), rng.below(3)))
+                    .collect();
+                pages.push((url, facts));
+            }
+            // The same fact on pages of two domains: both must be dirty.
+            let shared = fact(&mut t, 100, 0, 0);
+            pages.push((
+                SourceUrl::parse("http://a.com/x/shared").unwrap(),
+                vec![shared],
+            ));
+            pages.push((
+                SourceUrl::parse("http://b.org/y/shared").unwrap(),
+                vec![shared],
+            ));
+            // A page with the subject of an inserted fact but not the fact
+            // itself: it must stay clean.
+            let near = fact(&mut t, 100, 1, 1);
+            pages.push((SourceUrl::parse("http://c.net/z/near").unwrap(), vec![near]));
+            let corpus: Vec<SourceFacts> = pages
+                .into_iter()
+                .map(|(url, facts)| SourceFacts::new(url, facts))
+                .collect();
+            let index = SubjectIndex::new(&corpus);
+
+            let mut delta = KbDelta::new();
+            let mut oracle = KbDelta::new();
+            for _ in 0..3 {
+                let mut inserted: Vec<Fact> = (0..rng.below(6))
+                    .map(|_| fact(&mut t, rng.below(8), rng.below(3), rng.below(3)))
+                    .collect();
+                inserted.push(shared);
+                delta.record(&index, &corpus, &inserted);
+                let batch = scan_delta(&corpus, &inserted);
+                oracle.sources.extend(batch.sources);
+                oracle.subjects.extend(batch.subjects);
+                assert_eq!(delta.sources, oracle.sources, "seed {seed}: dirty sources");
+                assert_eq!(delta.subjects, oracle.subjects, "seed {seed}: subjects");
+            }
+            let url = |s: &str| SourceUrl::parse(s).unwrap();
+            assert!(delta.sources.contains(&url("http://a.com/x/shared")));
+            assert!(delta.sources.contains(&url("http://b.org/y/shared")));
+            assert!(
+                !delta.sources.contains(&url("http://c.net/z/near")),
+                "seed {seed}: a page holding only the subject was dirtied"
+            );
+        }
+    }
+
+    /// Facts `{prefix}i type kind` and `{prefix}i tag value` for each `i`.
+    fn vertical(
+        t: &mut Interner,
+        prefix: &str,
+        ids: std::ops::Range<usize>,
+        kind: &str,
+        value: &str,
+    ) -> Vec<Fact> {
+        ids.flat_map(|i| {
+            let s = format!("{prefix}{i}");
+            [
+                Fact::intern(t, &s, "type", kind),
+                Fact::intern(t, &s, "tag", value),
+            ]
+        })
+        .collect()
+    }
+
+    /// The prefix trap: `/doc` is a leaf and the parent of `/doc/p` and
+    /// `/doc/big`, while `/doc-x` and `/doc_sat` share its string prefix but
+    /// are its siblings.
+    fn prefix_trap(t: &mut Interner) -> Vec<SourceFacts> {
+        let page =
+            |url: &str, facts: Vec<Fact>| SourceFacts::new(SourceUrl::parse(url).unwrap(), facts);
+        vec![
+            page(
+                "http://a.com/doc",
+                vertical(t, "r", 0..6, "rocket_family", "nasa"),
+            ),
+            page(
+                "http://a.com/doc/p",
+                vertical(t, "r", 6..12, "rocket_family", "nasa"),
+            ),
+            page(
+                "http://a.com/doc/big",
+                vertical(t, "b", 0..30, "booster", "solid"),
+            ),
+            page(
+                "http://a.com/doc_sat/x",
+                vertical(t, "s", 0..8, "satellite", "leo"),
+            ),
+            page(
+                "http://a.com/doc-x/y",
+                vertical(t, "e", 0..8, "engine", "kerosene"),
+            ),
+        ]
+    }
+
+    /// `|T_W|` implied by a slice's profit (Definition 9 solved for the
+    /// crawl term).
+    fn implied_crawl_facts(s: &DiscoveredSlice, cost: &CostModel) -> usize {
+        let crawl = (1.0 - cost.fv) * s.num_new_facts as f64
+            - cost.fd * s.num_facts as f64
+            - cost.fp
+            - s.profit;
+        (crawl / cost.fc).round() as usize
+    }
+
+    #[test]
+    fn lazy_parent_merge_skips_prefix_siblings() {
+        let mut t = Interner::new();
+        let corpus = prefix_trap(&mut t);
+        let url = |s: &str| SourceUrl::parse(s).unwrap();
+        let doc = url("http://a.com/doc");
+        let big = url("http://a.com/doc/big");
+        // Hand count of `/doc`'s working set: its own page and `/doc/*`.
+        let count = |skip: Option<&SourceUrl>| {
+            corpus
+                .iter()
+                .filter(|s| {
+                    [
+                        "http://a.com/doc",
+                        "http://a.com/doc/p",
+                        "http://a.com/doc/big",
+                    ]
+                    .contains(&s.url.as_str())
+                        && Some(&s.url) != skip
+                })
+                .flat_map(|s| s.facts.iter().copied())
+                .collect::<BTreeSet<Fact>>()
+                .len()
+        };
+        assert_eq!(count(None), 84);
+        assert_eq!(count(Some(&big)), 24);
+        let leaves = normalise(corpus.iter().map(Cow::Borrowed).collect());
+        assert_eq!(merged_parent(&leaves, &doc).len(), count(None));
+
+        let config = MidasConfig::running_example();
+        let cost = config.cost;
+        let biggest = corpus.iter().map(SourceFacts::len).max().unwrap();
+        // Unbudgeted, and with a fact cap that quarantines only `/doc/big`.
+        for (budget, doc_facts) in [
+            (SourceBudget::unlimited(), count(None)),
+            (
+                SourceBudget::unlimited().with_max_facts(biggest - 1),
+                count(Some(&big)),
+            ),
+        ] {
+            for threads in [1, 2] {
+                let config = MidasConfig {
+                    budget,
+                    ..config.clone()
+                };
+                let mut aug = Augmenter::new(config, corpus.clone(), KnowledgeBase::new())
+                    .with_threads(threads);
+                for round in 0..4 {
+                    let fresh = aug.suggest_fresh();
+                    let incr = aug.suggest_report();
+                    assert_eq!(incr.slices.len(), fresh.slices.len(), "round {round}");
+                    for (a, b) in incr.slices.iter().zip(&fresh.slices) {
+                        assert_eq!(a.source, b.source, "round {round}");
+                        assert_eq!(a.entities, b.entities, "round {round}");
+                        assert_eq!(a.profit.to_bits(), b.profit.to_bits(), "round {round}");
+                    }
+                    let quarantined = |r: &FrameworkReport| -> Vec<String> {
+                        r.quarantine.iter().map(|f| f.source.clone()).collect()
+                    };
+                    assert_eq!(quarantined(&incr), quarantined(&fresh), "round {round}");
+                    if budget.max_facts.is_some() {
+                        assert_eq!(quarantined(&fresh), vec![big.as_str().to_string()]);
+                    }
+                    if round == 0 {
+                        // The rocket slice is detected at `/doc` over the
+                        // merged working set, and survives the domain.
+                        let at_doc = fresh
+                            .slices
+                            .iter()
+                            .find(|s| s.source == doc)
+                            .expect("a slice reported at /doc");
+                        assert_eq!(at_doc.entities.len(), 12);
+                        assert_eq!(implied_crawl_facts(at_doc, &cost), doc_facts);
+                    }
+                    let Some(best) = fresh.slices.into_iter().find(|s| s.profit > 0.0) else {
+                        break;
+                    };
+                    aug.accept(&best);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deadline_faults_are_cached_and_replayed() {
+        let mut t = Interner::new();
+        let (pages, kb) = skyrocket_pages(&mut t);
+        let alg = MidasAlg::new(MidasConfig::running_example());
+        let fw = Framework::new(&alg, alg.config.cost)
+            .with_budget(SourceBudget::unlimited().with_deadline(Duration::ZERO));
+        let mut cache = RoundCache::new();
+        let first = fw.run_incremental(&pages, &kb, &mut cache, &KbDelta::new());
+        assert!(!first.quarantine.is_empty(), "a zero deadline quarantines");
+        assert!(first.quarantine.iter().all(|f| matches!(
+            f.cause,
+            crate::quarantine::FaultCause::Budget(BudgetBreach {
+                kind: BreachKind::Deadline,
+                ..
+            })
+        )));
+        assert_eq!(first.detect_calls, pages.len());
+        let second = fw.run_incremental(&pages, &kb, &mut cache, &KbDelta::new());
+        assert_eq!(
+            second.detect_calls, 0,
+            "deadline faults replay from the cache"
+        );
+        assert_eq!(second.reused, first.detect_calls);
+        let entries = |r: &FrameworkReport| -> Vec<(String, usize)> {
+            r.quarantine
+                .iter()
+                .map(|f| (f.source.clone(), f.facts_seen))
+                .collect()
+        };
+        assert_eq!(entries(&second), entries(&first));
     }
 }

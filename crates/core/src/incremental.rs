@@ -16,11 +16,16 @@
 //! the dirty subtree of the URL hierarchy is re-detected. Results are
 //! bit-identical to a from-scratch rebuild ([`Augmenter::suggest_fresh`])
 //! at every round.
+//!
+//! `accept` reads the facts of the sources in the slice's URL scope, then
+//! projects the insertions through a [`SubjectIndex`] (built by the first
+//! accept, then kept): each inserted fact is checked only against the
+//! sources that hold its subject, not against every source of the corpus.
 
 use std::sync::Arc;
 
 use crate::config::MidasConfig;
-use crate::framework::{Framework, FrameworkReport, KbDelta, RoundCache};
+use crate::framework::{Framework, FrameworkReport, KbDelta, RoundCache, SubjectIndex};
 use crate::single_source::MidasAlg;
 use crate::slice::DiscoveredSlice;
 use crate::source::SourceFacts;
@@ -49,6 +54,10 @@ pub struct Augmenter {
     /// Insertions accepted since the last `suggest`, projected onto the
     /// corpus; drained into `run_incremental` as the invalidation key.
     delta: KbDelta,
+    /// The corpus's subject → source index the projection runs through,
+    /// built by the first `accept` (a loop that never accepts, such as a
+    /// zero-round run, never pays for it).
+    index: Option<SubjectIndex>,
 }
 
 impl Augmenter {
@@ -72,6 +81,7 @@ impl Augmenter {
             history: Vec::new(),
             cache: RoundCache::new(),
             delta: KbDelta::new(),
+            index: None,
         }
     }
 
@@ -168,7 +178,10 @@ impl Augmenter {
                 }
             }
         }
-        self.delta.record(&self.sources, &inserted);
+        let index = self
+            .index
+            .get_or_insert_with(|| SubjectIndex::new(&self.sources));
+        self.delta.record(index, &self.sources, &inserted);
         let step = AugmentationStep {
             slice: slice.clone(),
             facts_added: inserted.len(),

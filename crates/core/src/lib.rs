@@ -59,7 +59,7 @@ pub use explain::ProfitBreakdown;
 pub use extent::ExtentSet;
 pub use fact_table::{EntityId, FactTable, PropertyCatalog, PropertyId};
 pub use faultinject::FaultPlan;
-pub use framework::{ExportPolicy, Framework, FrameworkReport, KbDelta, RoundCache};
+pub use framework::{ExportPolicy, Framework, FrameworkReport, KbDelta, RoundCache, SubjectIndex};
 pub use hierarchy::SliceHierarchy;
 pub use incremental::{AugmentationStep, Augmenter};
 pub use midas_kb::crashpoint;

@@ -1,5 +1,7 @@
 //! Per-source working sets.
 
+use std::borrow::Borrow;
+
 use midas_kb::{Column, Fact};
 use midas_weburl::SourceUrl;
 
@@ -46,20 +48,28 @@ impl SourceFacts {
         self.facts.is_empty()
     }
 
-    /// Merges several children working sets into their parent's.
-    ///
-    /// The first child's buffer is reused and grown once to the combined
-    /// size, so merging `k` children performs at most one reallocation.
-    pub fn merge(url: SourceUrl, children: impl IntoIterator<Item = SourceFacts>) -> Self {
-        let children: Vec<SourceFacts> = children.into_iter().collect();
-        let total: usize = children.iter().map(SourceFacts::len).sum();
-        let mut iter = children.into_iter();
-        let mut facts = iter.next().map_or_else(Vec::new, |c| c.facts.into_vec());
-        facts.reserve(total - facts.len());
-        for c in iter {
-            facts.extend(c.facts.iter().copied());
+    /// Merges several children working sets into their parent's: the
+    /// sorted, deduplicated union of their facts. Children may be owned or
+    /// borrowed; the union is gathered into one buffer sized up front.
+    pub fn merge<S: Borrow<SourceFacts>>(
+        url: SourceUrl,
+        children: impl IntoIterator<Item = S>,
+    ) -> Self {
+        let children: Vec<S> = children.into_iter().collect();
+        let total: usize = children.iter().map(|c| c.borrow().len()).sum();
+        let mut facts = Vec::with_capacity(total);
+        for c in &children {
+            facts.extend_from_slice(&c.borrow().facts);
         }
-        SourceFacts::new(url, facts)
+        // The buffer is one sorted run per child; the stable sort merges
+        // runs instead of re-sorting them (facts are totally ordered, so
+        // the result equals an unstable sort's).
+        facts.sort();
+        facts.dedup();
+        SourceFacts {
+            url,
+            facts: facts.into(),
+        }
     }
 }
 

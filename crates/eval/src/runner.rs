@@ -55,9 +55,9 @@ impl RunResult {
 /// evaluation gives them the domain-merged corpus — the most favourable
 /// granularity for them.
 pub fn merge_by_domain(sources: &[SourceFacts]) -> Vec<SourceFacts> {
-    let mut by_domain: BTreeMap<SourceUrl, Vec<SourceFacts>> = BTreeMap::new();
+    let mut by_domain: BTreeMap<SourceUrl, Vec<&SourceFacts>> = BTreeMap::new();
     for s in sources {
-        by_domain.entry(s.url.domain()).or_default().push(s.clone());
+        by_domain.entry(s.url.domain()).or_default().push(s);
     }
     by_domain
         .into_iter()

@@ -121,10 +121,13 @@ echo "augmentation smoke OK: warm = $WARM_MS ms, rebuild = $FRESH_MS ms; ${RATIO
 # host scheduling jitter alone exceeds 3% on loaded machines. Runs are
 # interleaved and the gate compares best-of-3 per mode so one noisy rep
 # cannot fail (or mask) the comparison. The last enabled rep also writes
-# the per-run metrics report consumed by metrics_compare.py below.
+# the per-run metrics report consumed by metrics_compare.py below, to a
+# temporary path: the tracked METRICS_PR<N>.json is the baseline it is
+# compared against, never overwritten here.
 echo
 echo "== telemetry overhead: MIDAS_TELEMETRY=1 vs disabled (best of 3) =="
-METRICS_OUT="$PWD/METRICS_PR10.json"
+METRICS_OUT="$(mktemp "${TMPDIR:-/tmp}/midas-metrics.XXXXXX.json")"
+trap 'rm -f "$METRICS_OUT"' EXIT
 rebuild_total_of() { printf '%s\n' "$1" | grep warm_total | sed -n 's/.*"rebuild_ms":\([0-9]*\)\..*/\1/p'; }
 BEST_OFF=""
 BEST_ON=""
@@ -161,18 +164,12 @@ if [ "$SPEEDUP" -lt 5 ]; then
 fi
 echo "snapshot smoke OK: warm run ${SPEEDUP}x faster than cold"
 
-# Counter drift across PRs: diff the two most recent METRICS_PR<N>.json
-# reports. Work counters are machine-independent, so drift beyond the
-# threshold means a code path genuinely changed how much it does. Skipped
-# (not failed) when only this PR's report exists.
+# Counter drift: compare this run's report against the newest tracked
+# METRICS_PR<N>.json. Work counters are machine-independent, so drift
+# beyond the threshold means a code path genuinely changed how much it does.
 echo
 echo "== metrics_compare.py =="
-METRICS_COUNT="$(find . -maxdepth 1 -name 'METRICS_PR*.json' | wc -l)"
-if [ "$METRICS_COUNT" -ge 2 ]; then
-    python3 scripts/metrics_compare.py
-else
-    echo "metrics compare SKIPPED: fewer than two METRICS_PR*.json reports ($METRICS_COUNT found)"
-fi
+python3 scripts/metrics_compare.py --current "$METRICS_OUT"
 
 echo
 echo "== $OUT =="
@@ -183,7 +180,7 @@ cat "$OUT"
 echo
 echo "== fault-injection smoke =="
 SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$METRICS_OUT"' EXIT
 cargo run --offline -q -p midas-cli -- \
     generate --dataset kvault --scale 0.05 --out "$SMOKE_DIR"
 FAULTED="$(MIDAS_FAULTINJECT='panic@#0,budget@#1' cargo run --offline -q -p midas-cli -- \

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Compare per-run telemetry metric reports (METRICS_PR<N>.json) across PRs.
+"""Compare a telemetry metric report against the tracked baseline.
 
-Reads every METRICS_PR<N>.json at the repo root — each a single
-``midas.metrics/v1`` document as written by ``--metrics-json`` (the CLI) or
-``augment_rounds --metrics-json`` (the bench probe) — and diffs the two most
-recent ones.
+The baseline is the newest METRICS_PR<N>.json at the repo root; ``--current``
+names the report to check, a single ``midas.metrics/v1`` document as written
+by ``--metrics-json`` (the CLI) or ``augment_rounds --metrics-json`` (the
+bench probe). ``scripts/bench_smoke.sh`` writes that report to a temporary
+path and runs this script on it, so the tracked baseline is never
+overwritten by a smoke run.
 
 Counters are work totals, not wall-clock, so they are machine-independent:
 a changed value means the code path genuinely did a different amount of
@@ -17,10 +19,12 @@ reference, never gated.
 Exit status is non-zero when any counter present in both reports moved by
 more than the threshold (default 25%) in either direction, or vanished
 entirely. Counters appearing only on one side are informational — every PR
-adds instrumentation.
+adds instrumentation. A change that moves counters on purpose re-records
+the baseline as METRICS_PR<N>.json (replacing the previous one) and lists
+the moved counters in CHANGES.md.
 
 Usage:
-    scripts/metrics_compare.py [--threshold 0.25]
+    scripts/metrics_compare.py --current PATH [--threshold 0.25]
 
 Stdlib only; no third-party imports.
 """
@@ -57,17 +61,19 @@ def fmt(v):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--current", type=Path, required=True,
+                    help="the metrics report to check against the baseline")
     ap.add_argument("--threshold", type=float, default=0.25,
                     help="max allowed counter drift, as a fraction (default 0.25)")
     args = ap.parse_args()
 
-    files = sorted(
+    tracked = sorted(
         (p for p in ROOT.glob("METRICS_PR*.json") if pr_number(p) is not None),
         key=pr_number,
     )
-    if len(files) < 2:
-        sys.exit("need at least two METRICS_PR*.json files to compare")
-    prev, latest = files[-2], files[-1]
+    if not tracked:
+        sys.exit("no METRICS_PR*.json baseline at the repo root")
+    prev, latest = tracked[-1], args.current
     prev_counters, prev_hists = load_report(prev)
     counters, hists = load_report(latest)
 

@@ -64,7 +64,7 @@ pub mod prelude {
         AugmentationStep, Augmenter, BreachKind, BudgetBreach, BudgetScope, CostModel, DetectInput,
         DiscoveredSlice, ExportPolicy, ExtentSet, FactTable, FaultCause, FaultPlan, Framework,
         KbDelta, MidasAlg, MidasConfig, ProfitCtx, Quarantine, RoundCache, SliceDetector,
-        SliceHierarchy, SourceBudget, SourceFacts, SourceFault, Stage,
+        SliceHierarchy, SourceBudget, SourceFacts, SourceFault, Stage, SubjectIndex,
     };
     pub use midas_eval::{
         coverage_adjusted, match_to_gold, merge_by_domain, quarantine_table,

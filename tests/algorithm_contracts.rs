@@ -201,6 +201,7 @@ fn baseline_detector_matches_cold_run_on_every_framework_path() {
     );
 
     let mut cache = RoundCache::new();
+    let index = SubjectIndex::new(&sources);
     let mut delta = KbDelta::new();
     for round in 0..3 {
         let incr = fw.run_incremental(&sources, &kb, &mut cache, &delta);
@@ -222,6 +223,6 @@ fn baseline_detector_matches_cold_run_on_every_framework_path() {
         }
         assert!(!inserted.is_empty(), "round {round}: accept added nothing");
         delta = KbDelta::new();
-        delta.record(&sources, &inserted);
+        delta.record(&index, &sources, &inserted);
     }
 }
