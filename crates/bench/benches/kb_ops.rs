@@ -1,5 +1,5 @@
-//! Microbench: knowledge-base substrate operations — insert, membership,
-//! conjunctive queries, and binary snapshot IO.
+//! Microbench: knowledge-base substrate operations — insert, membership
+//! and conjunctive queries.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use midas_kb::{ConjunctiveQuery, Fact, Interner, KnowledgeBase};
@@ -47,15 +47,6 @@ fn bench_kb(c: &mut Criterion) {
     c.bench_function("kb/conjunctive_query", |b| {
         let q = ConjunctiveQuery::new().with_property(pred, value);
         b.iter(|| black_box(q.count(&kb)))
-    });
-
-    c.bench_function("kb/snapshot_save_load", |b| {
-        b.iter(|| {
-            let mut buf = Vec::new();
-            midas_kb::persist::save(&mut buf, &terms, &kb).unwrap();
-            let (t2, kb2) = midas_kb::persist::load(&buf[..]).unwrap();
-            black_box((t2.len(), kb2.len()))
-        })
     });
 }
 

@@ -10,10 +10,6 @@
 //! The corpus is shaped so per-shard transient state (fact table, hierarchy
 //! extents, scratch bitmaps) dominates the resident corpus itself: the
 //! window then visibly caps how many shards' state coexists.
-//!
-//! `--retain-invalid-extents` disables the eager release of invalidated
-//! hierarchy nodes' extents, giving an A/B probe for that optimisation at a
-//! fixed window (freed runs must not exceed retaining runs).
 
 use criterion::peak_rss_kb;
 use midas_core::{Framework, MidasAlg, MidasConfig, SourceFacts};
@@ -51,7 +47,6 @@ fn main() {
     let mut window: Option<usize> = None;
     let mut threads = 16usize;
     let mut entities = 250usize;
-    let mut retain_invalid = false;
     while let Some(a) = args.next() {
         let mut value = |name: &str| {
             args.next()
@@ -63,11 +58,9 @@ fn main() {
             }
             "--threads" => threads = value("--threads").parse().expect("thread count"),
             "--entities" => entities = value("--entities").parse().expect("entity count"),
-            "--retain-invalid-extents" => retain_invalid = true,
             other => panic!(
                 "unknown argument {other:?} \
-                 (usage: peak_rss [--stream-window N] [--threads N] [--entities N] \
-                 [--retain-invalid-extents])"
+                 (usage: peak_rss [--stream-window N] [--threads N] [--entities N])"
             ),
         }
     }
@@ -82,8 +75,7 @@ fn main() {
 
     let config = MidasConfig::running_example()
         .with_threads(threads)
-        .with_stream_window(window)
-        .with_retain_invalid_extents(retain_invalid);
+        .with_stream_window(window);
     let alg = MidasAlg::new(config.clone());
     let fw = Framework::new(&alg, config.cost)
         .with_threads(threads)
@@ -93,9 +85,8 @@ fn main() {
     let elapsed_ms = start.elapsed().as_millis();
 
     println!(
-        "{{\"bench\":\"peak_rss/window_{}{}\",\"sources\":{},\"slices\":{},\"threads\":{},\"elapsed_ms\":{},\"peak_rss_kb\":{}}}",
+        "{{\"bench\":\"peak_rss/window_{}\",\"sources\":{},\"slices\":{},\"threads\":{},\"elapsed_ms\":{},\"peak_rss_kb\":{}}}",
         window.map_or_else(|| "unbounded".to_owned(), |w| w.to_string()),
-        if retain_invalid { "_retain" } else { "" },
         num_sources,
         report.slices.len(),
         threads,

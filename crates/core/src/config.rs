@@ -75,17 +75,10 @@ pub struct MidasConfig {
     /// its own), report the single best canonical slice anyway, with its
     /// (negative) profit. Combined with [`crate::ExportPolicy::ExportAll`]
     /// this lets the framework aggregate many individually-unprofitable
-    /// pages into a profitable coarser slice.
+    /// pages into a profitable coarser slice. Because that fallback may
+    /// report a low-profit-invalidated node, this also keeps invalidated
+    /// nodes' extents alive instead of releasing them at the level boundary.
     pub always_report_best: bool,
-    /// Keep the extents of low-profit-invalidated hierarchy nodes alive for
-    /// the whole build instead of releasing them at the level boundary that
-    /// invalidated them. The eager release (the default) cuts peak resident
-    /// memory and is invisible to reports — invalid nodes never enter `SLB`
-    /// sets and the traversal skips them — but debugging and introspection
-    /// tooling that walks pruned nodes can set this to read their extents.
-    /// (`always_report_best` implies retention: its fallback may report an
-    /// invalid node.)
-    pub retain_invalid_extents: bool,
     /// Worker threads for level-wise hierarchy construction (parent
     /// generation and profit evaluation). `1` = fully sequential. Any value
     /// produces node-for-node identical hierarchies: parallel phases only
@@ -125,7 +118,6 @@ impl Default for MidasConfig {
             max_hierarchy_nodes: 4_000_000,
             disable_profit_pruning: false,
             always_report_best: false,
-            retain_invalid_extents: false,
             threads: 1,
             budget: SourceBudget::unlimited(),
             stream_window: None,
@@ -163,13 +155,6 @@ impl MidasConfig {
     /// Sets the framework's streaming admission window (`None` = unbounded).
     pub fn with_stream_window(mut self, window: Option<usize>) -> Self {
         self.stream_window = window.map(|w| w.max(1));
-        self
-    }
-
-    /// Keeps invalidated hierarchy nodes' extents alive for the whole
-    /// build (see [`MidasConfig::retain_invalid_extents`]).
-    pub fn with_retain_invalid_extents(mut self, retain: bool) -> Self {
-        self.retain_invalid_extents = retain;
         self
     }
 }

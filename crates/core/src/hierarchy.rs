@@ -450,13 +450,12 @@ impl SliceHierarchy {
     /// invalidation condition), parent extents at shallower levels come
     /// from the catalog's inverted lists rather than child extents, and the
     /// traversal skips `!valid` nodes before touching their extent. The
-    /// only remaining readers are the `always_report_best` fallback (which
-    /// may report an invalid node) and callers that opt out via
-    /// `retain_invalid_extents`, so freeing is gated on both. Freeing is
+    /// only remaining reader is the `always_report_best` fallback (which
+    /// may report an invalid node), so freeing is gated on it. Freeing is
     /// deterministic in the node set, so parallel builds stay bit-identical
     /// to `threads = 1`.
     fn free_invalid_extents(&mut self, config: &MidasConfig, l: usize) {
-        if config.retain_invalid_extents || config.always_report_best {
+        if config.always_report_best {
             return;
         }
         let ids: Vec<NodeId> = self.levels.get(l).cloned().unwrap_or_default();
@@ -872,9 +871,9 @@ impl SliceHierarchy {
     ///   build-time extent — because invalid→valid flips are possible
     ///   (`f_LB` can drop by more than `f({S})`);
     /// * `valid` is reset before re-evaluation and re-decided by the exact
-    ///   build-time rule in [`Self::evaluate_ids`];
+    ///   build-time rule (the same `evaluate_ids` pass);
     /// * still-invalid dirty extents are re-freed at the level boundary
-    ///   under the same config gates as [`Self::free_invalid_extents`];
+    ///   under the same config gate as the build's level-boundary release;
     /// * clean nodes keep last round's values, which equal what a fresh
     ///   build would compute (their counts and their children's SLB state
     ///   are untouched — `SLB` members live inside the member's subtree, so
@@ -964,7 +963,7 @@ impl SliceHierarchy {
                 self.nodes[id as usize].valid = true;
             }
             self.evaluate_ids(ctx, config, ids.clone());
-            if !config.retain_invalid_extents && !config.always_report_best {
+            if !config.always_report_best {
                 for &id in &ids {
                     let node = &self.nodes[id as usize];
                     if !node.removed && !node.valid && !node.extent_freed {
@@ -1085,6 +1084,17 @@ mod tests {
             .expect("property")
     }
 
+    /// A node's extent, rebuilt from the catalog (as `warm_patch` does)
+    /// when the level-boundary release freed it.
+    fn node_extent(h: &SliceHierarchy, ft: &FactTable, id: NodeId) -> ExtentSet {
+        let n = h.node(id);
+        if n.extent_freed {
+            ft.extent_of(&n.props)
+        } else {
+            n.extent.clone()
+        }
+    }
+
     fn find_node(
         h: &SliceHierarchy,
         ft: &FactTable,
@@ -1101,9 +1111,6 @@ mod tests {
         let mut t = Interner::new();
         let (ft, cfg) = build_running_example(&mut t);
         let ctx = ProfitCtx::new(&ft, cfg.cost);
-        // S4 is invalidated by profit pruning; retain its extent so the
-        // Figure-5a coverage assertion below can still read it.
-        let cfg = cfg.with_retain_invalid_extents(true);
         let h = SliceHierarchy::build(&ft, &ctx, &cfg);
         // Figure 5a: S1, S2, S3 at level 3 and S4 at level 2 are initial.
         let s1 = find_node(
@@ -1150,7 +1157,8 @@ mod tests {
             assert!(h.node(id).is_initial);
             assert!(h.node(id).canonical);
         }
-        assert_eq!(h.node(s4).extent.len(), 3, "S4 covers e1, e2, e4");
+        // S4 is invalidated by profit pruning, so its extent is rebuilt.
+        assert_eq!(node_extent(&h, &ft, s4).len(), 3, "S4 covers e1, e2, e4");
     }
 
     #[test]
@@ -1210,21 +1218,17 @@ mod tests {
         assert!(!h.node(c6).valid);
         assert!(h.node(c6).extent_freed, "invalid extent freed by default");
         assert!(h.node(c6).extent.is_empty(), "freed extent reads empty");
-        // Opt-outs: the retain flag, and `always_report_best` (whose
-        // fallback may report an invalid node) both keep extents alive.
-        for cfg in [
-            MidasConfig::running_example().with_retain_invalid_extents(true),
-            MidasConfig {
-                always_report_best: true,
-                ..MidasConfig::running_example()
-            },
-        ] {
-            let h = SliceHierarchy::build(&ft, &ctx, &cfg);
-            let c6 = find_node(&h, &ft, &mut t, &[("sponsor", "NASA")]).unwrap();
-            assert!(!h.node(c6).valid);
-            assert!(!h.node(c6).extent_freed);
-            assert!(!h.node(c6).extent.is_empty(), "retained extent readable");
-        }
+        // `always_report_best` (whose fallback may report an invalid node)
+        // keeps extents alive.
+        let cfg = MidasConfig {
+            always_report_best: true,
+            ..MidasConfig::running_example()
+        };
+        let h = SliceHierarchy::build(&ft, &ctx, &cfg);
+        let c6 = find_node(&h, &ft, &mut t, &[("sponsor", "NASA")]).unwrap();
+        assert!(!h.node(c6).valid);
+        assert!(!h.node(c6).extent_freed);
+        assert!(!h.node(c6).extent.is_empty(), "retained extent readable");
     }
 
     #[test]
@@ -1382,16 +1386,15 @@ mod tests {
         let mut t = Interner::new();
         let (ft, cfg) = build_running_example(&mut t);
         let ctx = ProfitCtx::new(&ft, cfg.cost);
-        // This walks every live node's extent, including invalidated ones —
-        // the introspection case the retain flag exists for.
-        let cfg = cfg.with_retain_invalid_extents(true);
         let h = SliceHierarchy::build(&ft, &ctx, &cfg);
+        // This walks every live node's extent, including invalidated ones,
+        // whose extents were freed and are rebuilt here.
         for id in h.iter() {
-            let n = h.node(id);
-            for &c in &n.children {
-                let cextent = &h.node(c).extent;
+            let extent = node_extent(&h, &ft, id);
+            for &c in &h.node(id).children {
+                let cextent = node_extent(&h, &ft, c);
                 assert!(
-                    cextent.iter().all(|e| n.extent.contains(e)),
+                    cextent.iter().all(|e| extent.contains(e)),
                     "child extent must be a subset of parent extent"
                 );
             }

@@ -1,10 +1,12 @@
 //! Shared worker-pool utilities.
 //!
 //! One idiom serves every parallel site in the crate: an **order-preserving
-//! parallel map** over an owned work list, built on scoped crossbeam threads
-//! and channels. Callers fan the *pure* part of their work out through
-//! [`par_map`] and then apply the results sequentially in a deterministic
-//! order, so parallel and sequential runs produce identical structures.
+//! parallel map** over an owned work list, built on `std` alone: scoped
+//! threads (`std::thread::scope`), one `mpsc` task queue that the workers
+//! share behind a `Mutex`, and one `mpsc` result channel. Callers fan the
+//! *pure* part of their work out through [`par_map`] and then apply the
+//! results sequentially in a deterministic order, so parallel and
+//! sequential runs produce identical structures.
 //!
 //! The engine underneath is [`par_map_streamed`]: a **bounded-window
 //! streaming map**. At most `window` items are admitted at once — counting
@@ -41,10 +43,12 @@
 use crate::budget;
 use crate::quarantine::FaultCause;
 use crate::telemetry;
-use crossbeam::channel::{self, RecvTimeoutError};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Mutex, PoisonError};
+use std::thread;
 use std::time::Instant;
 
 /// Worker-pool instrumentation. `pool.tasks` (exact, counted once per map
@@ -239,18 +243,28 @@ where
     }
 
     let window = window.max(1);
-    let (task_tx, task_rx) = channel::unbounded::<(usize, T, u64)>();
-    let (res_tx, res_rx) = channel::unbounded::<(usize, Option<Result<R, FaultCause>>)>();
+    let (task_tx, task_rx) = mpsc::channel::<(usize, T, u64)>();
+    // One task queue shared by every worker: a worker holds the lock only
+    // while it takes its next task, never while the task body runs. Nothing
+    // can panic under the lock, and `recv` leaves the receiver valid, so a
+    // poisoned lock is recovered from.
+    let task_rx = Mutex::new(task_rx);
+    let (res_tx, res_rx) = mpsc::channel::<(usize, Option<Result<R, FaultCause>>)>();
     let cancelled = AtomicBool::new(false);
-    crossbeam::thread::scope(|scope| {
+    thread::scope(|scope| {
         for _ in 0..threads.min(n).min(window) {
-            let task_rx = task_rx.clone();
             let res_tx = res_tx.clone();
-            let f = &f;
-            let cancelled = &cancelled;
-            scope.spawn(move |_| {
+            let (f, task_rx, cancelled) = (&f, &task_rx, &cancelled);
+            scope.spawn(move || {
                 IN_WORKER.with(|w| w.set(true));
-                while let Ok((i, item, enqueued_ns)) = task_rx.recv() {
+                loop {
+                    let next = task_rx
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .recv();
+                    let Ok((i, item, enqueued_ns)) = next else {
+                        break;
+                    };
                     // After cancellation we still drain the queue so the
                     // collector sees exactly one marker per admitted item,
                     // but skip the work. `enqueued_ns == u64::MAX` marks an
@@ -267,7 +281,9 @@ where
                     } else {
                         Some(run_isolated(|| f(item)))
                     };
-                    res_tx.send((i, out)).expect("open channel");
+                    res_tx
+                        .send((i, out))
+                        .expect("the collector outlives the scope");
                 }
             });
         }
@@ -293,7 +309,9 @@ where
                         } else {
                             u64::MAX
                         };
-                        task_tx.send((i, item, enqueued_ns)).expect("open channel");
+                        task_tx
+                            .send((i, item, enqueued_ns))
+                            .expect("the queue outlives the scope");
                         in_flight += 1;
                     }
                     None => break,
@@ -336,7 +354,7 @@ where
                 sink(index, finish_slot(index, out));
             }
         }
-        // Close the task channel so workers exit and the scope can join.
+        // Close the task queue so workers exit and the scope can join.
         drop(task_tx);
         // Abandoned-pool drain: deliver any remaining slots (buffered or
         // never completed) so the sink always sees exactly n calls in order.
@@ -346,8 +364,7 @@ where
             let out = pending.remove(&index).flatten();
             sink(index, finish_slot(index, out));
         }
-    })
-    .expect("isolated workers do not panic");
+    });
 }
 
 /// Order-preserving parallel map over `items` with `threads` workers,
@@ -595,6 +612,48 @@ mod tests {
     }
 
     #[test]
+    fn deadline_with_small_window_delivers_every_slot_in_order() {
+        // 16 tasks x 20ms admitted two at a time against a 50ms deadline:
+        // most items are still unadmitted when the deadline fires. They are
+        // admitted afterwards and skipped by the workers, and every slot
+        // must still reach the sink, in order.
+        let budget = SourceBudget::unlimited().with_deadline(Duration::from_millis(50));
+        let _scope = BudgetScope::enter(&budget);
+        let mut seen = Vec::new();
+        par_map_streamed(
+            4,
+            2,
+            (0u32..16).collect(),
+            |x| {
+                std::thread::sleep(Duration::from_millis(20));
+                x + 1
+            },
+            |i, r| seen.push((i, r)),
+        );
+        assert_eq!(seen.len(), 16, "one sink call per item");
+        for (pos, (i, r)) in seen.iter().enumerate() {
+            assert_eq!(pos, *i, "sink order matches input order");
+            if let Ok(v) = r {
+                assert_eq!(*v, pos as u32 + 1);
+            }
+        }
+        assert!(seen[0].1.is_ok(), "first task started before the deadline");
+        assert!(
+            seen.iter().any(|(_, r)| matches!(
+                r,
+                Err(TaskFault {
+                    cause: FaultCause::Budget(BudgetBreach {
+                        kind: BreachKind::Deadline,
+                        ..
+                    }),
+                    ..
+                })
+            )),
+            "deadline never fired: {seen:?}"
+        );
+    }
+
+    #[test]
     fn sequential_path_respects_deadline() {
         let budget = SourceBudget::unlimited().with_deadline(Duration::from_millis(10));
         let _scope = BudgetScope::enter(&budget);
@@ -718,6 +777,62 @@ mod tests {
             std::thread::current().id()
         });
         assert_ne!(ids[0], ids[1], "a main-thread map uses several workers");
+    }
+
+    #[test]
+    fn a_free_worker_takes_queued_tasks_while_another_runs() {
+        // Item 0 waits (bounded) until item 2 has run. A worker that held
+        // the queue lock through its task body would keep the other worker
+        // from taking items 1 and 2, and item 0 would time out.
+        let ran = (Mutex::new(false), std::sync::Condvar::new());
+        let out = par_map(2, vec![0u32, 1, 2], |x| {
+            let (flag, cv) = &ran;
+            match x {
+                0 => {
+                    let seen = flag.lock().expect("no task panics holding it");
+                    let (seen, _) = cv
+                        .wait_timeout_while(seen, Duration::from_secs(5), |seen| !*seen)
+                        .expect("no task panics holding it");
+                    *seen
+                }
+                2 => {
+                    *flag.lock().expect("no task panics holding it") = true;
+                    cv.notify_all();
+                    true
+                }
+                _ => true,
+            }
+        });
+        assert_eq!(out, vec![true, true, true], "item 0 saw item 2 run");
+    }
+
+    #[test]
+    fn pool_spawns_at_most_threads_items_and_window_workers() {
+        let caller = std::thread::current().id();
+        for (threads, window, n) in [(8usize, 3usize, 40u32), (2, 64, 40), (8, 64, 5)] {
+            let ids = Mutex::new(std::collections::HashSet::new());
+            par_map_streamed(
+                threads,
+                window,
+                (0..n).collect(),
+                |_| {
+                    ids.lock()
+                        .expect("no task panics holding it")
+                        .insert(std::thread::current().id());
+                    std::thread::sleep(Duration::from_millis(1));
+                },
+                |_, r| r.expect("no faults injected"),
+            );
+            let ids = ids.into_inner().expect("no task panics holding it");
+            let cap = threads.min(window).min(n as usize);
+            assert!(
+                !ids.is_empty() && ids.len() <= cap,
+                "{} workers ran tasks, at most {cap} allowed \
+                 (threads {threads}, window {window}, items {n})",
+                ids.len()
+            );
+            assert!(!ids.contains(&caller), "the calling thread only collects");
+        }
     }
 
     #[test]

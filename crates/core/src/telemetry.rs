@@ -19,12 +19,12 @@
 //!   JSONL event per span (name, start/end ns, thread, parent span) for
 //!   flame-style inspection.
 //!
-//! Metrics are `static`s declared with [`counter!`] / [`histogram!`] and
-//! register themselves into the global registry on first touch — no
-//! life-before-main tricks, no inventory crate, no allocation on the hot
-//! path. [`snapshot`] folds every registered metric into a [`Snapshot`],
-//! and [`Snapshot::to_json`] renders the stable, versioned document that
-//! `--metrics-json` writes and `scripts/metrics_compare.py` diffs.
+//! Metrics are `static`s declared with [`counter!`](crate::counter!) /
+//! [`histogram!`](crate::histogram!); each registers itself in the global
+//! registry on first touch — no life-before-main tricks, no inventory
+//! crate, no hot-path allocation. [`snapshot`] folds every registered
+//! metric into a [`Snapshot`]; [`Snapshot::to_json`] renders the stable,
+//! versioned document `--metrics-json` writes and `metrics_compare.py` diffs.
 //!
 //! **Gating.** Counters and histograms record only while the layer is
 //! enabled ([`enabled`]): one relaxed atomic load guards every record call.
@@ -186,7 +186,7 @@ fn shard_index() -> usize {
 }
 
 /// A monotone counter: per-thread sharded relaxed atomics, folded at
-/// snapshot time. Declare with [`counter!`]; increment with
+/// snapshot time. Declare with [`counter!`](crate::counter!); increment with
 /// [`Counter::add`] / [`Counter::inc`].
 pub struct Counter {
     name: &'static str,
@@ -195,7 +195,7 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// A new unregistered counter (use via [`counter!`]).
+    /// A new unregistered counter (use via [`counter!`](crate::counter!)).
     pub const fn new(name: &'static str) -> Self {
         Counter {
             name,
@@ -302,7 +302,7 @@ pub struct Histogram {
 const ZERO_U64: AtomicU64 = AtomicU64::new(0);
 
 impl Histogram {
-    /// A new unregistered histogram (use via [`histogram!`]).
+    /// A new unregistered histogram (use via [`histogram!`](crate::histogram!)).
     pub const fn new(name: &'static str) -> Self {
         Histogram {
             name,

@@ -7,9 +7,8 @@
 //! construction of MIDASalg cheap enough to run over millions of facts.
 
 use crate::fnv::FnvHashMap;
-use parking_lot::RwLock;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A compact handle to an interned string.
 ///
@@ -243,38 +242,51 @@ impl SharedInterner {
         SharedInterner(Arc::new(RwLock::new(inner)))
     }
 
+    /// Shared access. An [`Interner`] update appends a string before it
+    /// indexes it, and lookups also scan the unindexed tail, so a holder
+    /// that panicked mid-update leaves a usable table: poisoning is
+    /// recovered from.
+    fn read(&self) -> RwLockReadGuard<'_, Interner> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access, recovering from poisoning as [`Self::read`] does.
+    fn write(&self) -> RwLockWriteGuard<'_, Interner> {
+        self.0.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Interns `s` (takes a read lock first for the common already-interned
     /// case, upgrading to a write lock only on a miss).
     pub fn intern(&self, s: &str) -> Symbol {
-        if let Some(sym) = self.0.read().get(s) {
+        if let Some(sym) = self.read().get(s) {
             return sym;
         }
-        self.0.write().intern(s)
+        self.write().intern(s)
     }
 
     /// Returns the symbol for `s` if present.
     pub fn get(&self, s: &str) -> Option<Symbol> {
-        self.0.read().get(s)
+        self.read().get(s)
     }
 
     /// Resolves `sym` to an owned string.
     pub fn resolve(&self, sym: Symbol) -> String {
-        self.0.read().resolve(sym).to_owned()
+        self.read().resolve(sym).to_owned()
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.0.read().len()
+        self.read().len()
     }
 
     /// Whether nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.0.read().is_empty()
+        self.read().is_empty()
     }
 
     /// Runs `f` with a shared reference to the underlying interner.
     pub fn with<R>(&self, f: impl FnOnce(&Interner) -> R) -> R {
-        f(&self.0.read())
+        f(&self.read())
     }
 }
 
@@ -340,6 +352,29 @@ mod tests {
         assert_eq!(s1, s2);
         assert_eq!(shared.resolve(s1), "golf");
         assert_eq!(shared.len(), 1);
+    }
+
+    #[test]
+    fn shared_interner_recovers_from_a_poisoned_lock() {
+        let shared = SharedInterner::new();
+        let before = shared.intern("before");
+        let holder = shared.clone();
+        let died = std::thread::spawn(move || {
+            let _guard = holder.write();
+            panic!("holder dies with the write lock held");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(
+            shared.0.is_poisoned(),
+            "the holder's panic poisoned the lock"
+        );
+        assert_eq!(shared.get("before"), Some(before));
+        let after = shared.intern("after");
+        assert_eq!(shared.resolve(after), "after");
+        assert_eq!(shared.intern("before"), before);
+        assert_eq!(shared.len(), 2);
+        assert_eq!(shared.with(|i| i.iter().count()), 2);
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub mod interner;
 pub mod io;
 pub mod mmap;
 pub mod ontology;
-pub mod persist;
 pub mod query;
 pub mod snapshot;
 pub mod stats;

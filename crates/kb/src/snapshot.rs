@@ -17,8 +17,7 @@
 //! Section payloads are opaque byte ranges; higher layers read them through
 //! [`SectionReader`], which hands out zero-copy [`Column`]s after bounds
 //! and alignment checks. The trailing checksum makes truncation, bit flips
-//! and appended garbage all fail closed, in the spirit of the `MKB1`
-//! validation in [`crate::persist`].
+//! and appended garbage all fail closed.
 
 use crate::column::{Column, Pod};
 use crate::mmap::Mmap;
@@ -474,8 +473,7 @@ impl fmt::Debug for Snapshot {
 }
 
 /// Sequential typed reader over one section's payload. Every accessor
-/// bounds-checks against the section range, mirroring the `need()`
-/// discipline of the `MKB1` loader.
+/// bounds-checks against the section range before it reads.
 pub struct SectionReader<'a> {
     map: &'a Arc<Mmap>,
     start: usize,
@@ -677,6 +675,22 @@ mod tests {
         assert!(matches!(
             Snapshot::from_bytes(b),
             Err(SnapshotError::Corrupt(m)) if m.contains("version")
+        ));
+    }
+
+    #[test]
+    fn rejects_a_legacy_mkb1_file() {
+        // A knowledge base in the retired MKB1 layout: magic, string
+        // table, fact table. It must fail closed, never be misread.
+        let mut old = b"MKB1".to_vec();
+        old.extend_from_slice(&1u32.to_le_bytes());
+        old.extend_from_slice(&4u32.to_le_bytes());
+        old.extend_from_slice(b"NASA");
+        old.extend_from_slice(&1u32.to_le_bytes());
+        old.extend_from_slice(&[0u8; 12]);
+        assert!(matches!(
+            Snapshot::from_bytes(old),
+            Err(SnapshotError::Corrupt(m)) if m.contains("magic")
         ));
     }
 

@@ -4,6 +4,26 @@ use midas_kb::{ConjunctiveQuery, Fact, Interner, KnowledgeBase};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
+/// TSV IO round-trips arbitrary (printable) terms.
+fn tsv_rows_round_trip(rows: &[(String, String, String)]) -> TestCaseResult {
+    let mut terms = Interner::new();
+    let facts: Vec<Fact> = rows
+        .iter()
+        .map(|(s, p, o)| Fact::intern(&mut terms, s, p, o))
+        .collect();
+    let mut buf = Vec::new();
+    midas_kb::io::write_tsv(&mut buf, &terms, facts.iter().copied()).unwrap();
+    let mut terms2 = Interner::new();
+    let back = midas_kb::io::read_tsv(&buf[..], &mut terms2).unwrap();
+    prop_assert_eq!(back.len(), facts.len());
+    for (a, b) in facts.iter().zip(&back) {
+        prop_assert_eq!(terms.resolve(a.subject), terms2.resolve(b.subject));
+        prop_assert_eq!(terms.resolve(a.predicate), terms2.resolve(b.predicate));
+        prop_assert_eq!(terms.resolve(a.object), terms2.resolve(b.object));
+    }
+    Ok(())
+}
+
 proptest! {
     /// Interning any set of strings round-trips and is injective.
     #[test]
@@ -71,45 +91,20 @@ proptest! {
         prop_assert_eq!(fast, slow);
     }
 
-    /// Binary snapshots round-trip arbitrary knowledge bases.
-    #[test]
-    fn persist_round_trip(triples in proptest::collection::vec(any::<(u8, u8, u8)>(), 0..100)) {
-        let mut terms = Interner::new();
-        let mut kb = KnowledgeBase::new();
-        for &(s, p, o) in &triples {
-            kb.insert(Fact::intern(&mut terms, &format!("س{s}"), &format!("p{p}"), &format!("✓{o}")));
-        }
-        let mut buf = Vec::new();
-        midas_kb::persist::save(&mut buf, &terms, &kb).unwrap();
-        let (terms2, kb2) = midas_kb::persist::load(&buf[..]).unwrap();
-        prop_assert_eq!(kb2.len(), kb.len());
-        for f in kb.iter() {
-            let f2 = Fact::new(
-                terms2.get(terms.resolve(f.subject)).unwrap(),
-                terms2.get(terms.resolve(f.predicate)).unwrap(),
-                terms2.get(terms.resolve(f.object)).unwrap(),
-            );
-            prop_assert!(kb2.contains(&f2));
-        }
-    }
-
-    /// TSV IO round-trips arbitrary (printable) terms.
+    /// See [`tsv_rows_round_trip`].
     #[test]
     fn tsv_round_trip(rows in proptest::collection::vec(("[ -~]{1,12}", "[ -~]{1,12}", "[ -~]{1,12}"), 0..40)) {
-        let mut terms = Interner::new();
-        let facts: Vec<Fact> = rows
-            .iter()
-            .map(|(s, p, o)| Fact::intern(&mut terms, s, p, o))
-            .collect();
-        let mut buf = Vec::new();
-        midas_kb::io::write_tsv(&mut buf, &terms, facts.iter().copied()).unwrap();
-        let mut terms2 = Interner::new();
-        let back = midas_kb::io::read_tsv(&buf[..], &mut terms2).unwrap();
-        prop_assert_eq!(back.len(), facts.len());
-        for (a, b) in facts.iter().zip(&back) {
-            prop_assert_eq!(terms.resolve(a.subject), terms2.resolve(b.subject));
-            prop_assert_eq!(terms.resolve(a.predicate), terms2.resolve(b.predicate));
-            prop_assert_eq!(terms.resolve(a.object), terms2.resolve(b.object));
-        }
+        tsv_rows_round_trip(&rows)?;
+    }
+}
+
+/// A failing input recorded by an earlier proptest run, re-run through the
+/// TSV round-trip property. The in-repo proptest shim only generates fresh
+/// cases, so recorded inputs are pinned here as plain tests.
+#[test]
+fn recorded_regression_rows() {
+    let rows = [("#".to_owned(), "a".to_owned(), " ".to_owned())];
+    if let Err(e) = tsv_rows_round_trip(&rows) {
+        panic!("{e}");
     }
 }

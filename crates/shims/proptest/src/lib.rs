@@ -421,7 +421,7 @@ mod pattern {
     }
 
     // Mostly printable ASCII; occasionally multi-byte to exercise UTF-8
-    // handling in interner/persistence round trips.
+    // handling in interner and TSV round trips.
     const EXOTIC: &[char] = &['é', 'ß', '中', '☃', '🦀'];
 
     fn sample_seq(seq: &[Element], rng: &mut TestRng, out: &mut String) {

@@ -6,9 +6,14 @@
 # fields, the latter a machine-speed reference bench_compare.py divides
 # medians by so host contention never reads as a code regression).
 #
-# Entirely offline: the workspace builds with `--offline` against the
-# vendored/shimmed dependency set; no registry access and no new external
-# dependencies are required (verify with `cargo tree --offline`).
+# After the criterion benches it gates, in order: SIMD kernel speedup,
+# peak RSS under a stream window, warm augmentation rounds against a
+# rebuild, telemetry overhead, snapshot-cache warm vs cold, metrics drift,
+# fault-injection quarantine, and resume-vs-rerun bit-identity.
+#
+# Entirely offline: the workspace builds with `--offline` against `std`
+# and the in-repo shims in crates/shims (rand, proptest, criterion); no
+# registry access is required (verify with `cargo tree --offline`).
 #
 # Usage: scripts/bench_smoke.sh [output.json] [samples]
 set -euo pipefail
@@ -72,25 +77,6 @@ if [ "$W_KB" -ge "$U_KB" ]; then
     exit 1
 fi
 echo "peak-RSS smoke OK: window 8 = $W_KB KiB < unbounded = $U_KB KiB"
-
-# Invalid-extent freeing: releasing invalidated hierarchy nodes' extents at
-# level boundaries must not raise the peak over a run that retains them
-# (same window, separate processes for the monotone VmHWM counter).
-# VmHWM swings ±2-3% between identical runs on this allocator, which is
-# larger than the freeing effect on this corpus, so the gate allows 3%
-# slack — it still catches freeing genuinely costing memory.
-echo
-echo "== peak RSS: eager invalid-extent freeing vs --retain-invalid-extents =="
-RETAINED="$(./target/release/peak_rss --stream-window 8 --retain-invalid-extents)"
-printf '%s\n' "$RETAINED" | tee -a "$OUT"
-# The windowed run above already measures the default (freeing) config.
-F_KB="$W_KB"
-R_KB="$(rss_of "$RETAINED")"
-if [ "$F_KB" -gt $((R_KB + R_KB * 3 / 100)) ]; then
-    echo "extent-free smoke FAILED: freeing ($F_KB KiB) above retaining ($R_KB KiB) beyond 3% noise" >&2
-    exit 1
-fi
-echo "extent-free smoke OK: freeing = $F_KB KiB <= retaining = $R_KB KiB + 3% noise allowance"
 
 # Incremental augmentation loop: every warm round replays the clean
 # subtrees from the round cache AND patches the dirty leaves' retained

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Pre-merge check gauntlet: formatting, lints as errors, and the full test
-# suite. Entirely offline. Usage: scripts/check.sh
+# Pre-merge check gauntlet: formatting, lints and rustdoc warnings as
+# errors, and the full test suite. Entirely offline. Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -9,6 +9,11 @@ cargo fmt --check
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+# Rustdoc lane: broken or private intra-doc links fail the check, so a
+# deleted item cannot leave a dangling doc link behind.
+echo "== cargo doc (-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 # Kernel dispatch lane: the differential suite plus both report-equivalence
 # suites under each MIDAS_KERNEL setting — swapping the kernel table must

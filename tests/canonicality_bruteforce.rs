@@ -67,11 +67,82 @@ fn closed_sets(table: &FactTable) -> BTreeSet<Vec<u32>> {
     out
 }
 
+/// The canonical (live) nodes of the constructed hierarchy are exactly the
+/// closed property sets of the fact table.
+fn canonical_nodes_match_closed_sets(grid: &[Vec<Option<u8>>]) -> TestCaseResult {
+    let (_terms, source) = build_table(grid);
+    if source.is_empty() {
+        return Ok(());
+    }
+    let kb = KnowledgeBase::new();
+    let table = FactTable::build(&source, &kb);
+    let mut cfg = MidasConfig::running_example();
+    // No caps, no surprises: the test needs the full lattice.
+    cfg.max_properties_per_entity = 64;
+    cfg.max_initial_combinations_per_entity = 4096;
+    cfg.disable_profit_pruning = true;
+    let ctx = ProfitCtx::new(&table, cfg.cost);
+    let hierarchy = SliceHierarchy::build(&table, &ctx, &cfg);
+
+    let expected = closed_sets(&table);
+    let mut actual: BTreeSet<Vec<u32>> = BTreeSet::new();
+    for id in hierarchy.iter() {
+        let node = hierarchy.node(id);
+        if node.canonical {
+            actual.insert(node.props.to_vec());
+        }
+    }
+    prop_assert_eq!(
+        &actual,
+        &expected,
+        "canonical nodes must equal closed sets (grid {:?})",
+        grid
+    );
+    Ok(())
+}
+
+/// Non-canonical slices are redundant: removing them loses no extent — for
+/// every live node, some canonical node has the same extent with at least as
+/// many properties.
+fn extents_have_canonical_representatives(grid: &[Vec<Option<u8>>]) -> TestCaseResult {
+    let (_terms, source) = build_table(grid);
+    if source.is_empty() {
+        return Ok(());
+    }
+    let kb = KnowledgeBase::new();
+    let table = FactTable::build(&source, &kb);
+    let mut cfg = MidasConfig::running_example();
+    cfg.max_properties_per_entity = 64;
+    cfg.max_initial_combinations_per_entity = 4096;
+    cfg.disable_profit_pruning = true;
+    let ctx = ProfitCtx::new(&table, cfg.cost);
+    let hierarchy = SliceHierarchy::build(&table, &ctx, &cfg);
+
+    let canon: Vec<(midas::prelude::ExtentSet, Vec<u32>)> = hierarchy
+        .iter()
+        .filter(|&id| hierarchy.node(id).canonical)
+        .map(|id| {
+            let n = hierarchy.node(id);
+            (n.extent.clone(), n.props.to_vec())
+        })
+        .collect();
+    for id in hierarchy.iter() {
+        let node = hierarchy.node(id);
+        let found = canon
+            .iter()
+            .any(|(ext, props)| *ext == node.extent && props.len() >= node.props.len());
+        prop_assert!(
+            found,
+            "extent of a live node lacks a canonical representative"
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The canonical (live) nodes of the constructed hierarchy are exactly
-    /// the closed property sets of the fact table.
+    /// See [`canonical_nodes_match_closed_sets`].
     #[test]
     fn canonical_nodes_are_exactly_the_closed_sets(
         grid in proptest::collection::vec(
@@ -79,39 +150,10 @@ proptest! {
             1..8,
         )
     ) {
-        let (_terms, source) = build_table(&grid);
-        if source.is_empty() {
-            return Ok(());
-        }
-        let kb = KnowledgeBase::new();
-        let table = FactTable::build(&source, &kb);
-        let mut cfg = MidasConfig::running_example();
-        // No caps, no surprises: the test needs the full lattice.
-        cfg.max_properties_per_entity = 64;
-        cfg.max_initial_combinations_per_entity = 4096;
-        cfg.disable_profit_pruning = true;
-        let ctx = ProfitCtx::new(&table, cfg.cost);
-        let hierarchy = SliceHierarchy::build(&table, &ctx, &cfg);
-
-        let expected = closed_sets(&table);
-        let mut actual: BTreeSet<Vec<u32>> = BTreeSet::new();
-        for id in hierarchy.iter() {
-            let node = hierarchy.node(id);
-            if node.canonical {
-                actual.insert(node.props.to_vec());
-            }
-        }
-        prop_assert_eq!(
-            &actual,
-            &expected,
-            "canonical nodes must equal closed sets (grid {:?})",
-            grid
-        );
+        canonical_nodes_match_closed_sets(&grid)?;
     }
 
-    /// Non-canonical slices are redundant: removing them loses no extent —
-    /// for every live node, some canonical node has the same extent with at
-    /// least as many properties.
+    /// See [`extents_have_canonical_representatives`].
     #[test]
     fn every_extent_is_represented_canonically(
         grid in proptest::collection::vec(
@@ -119,33 +161,27 @@ proptest! {
             1..7,
         )
     ) {
-        let (_terms, source) = build_table(&grid);
-        if source.is_empty() {
-            return Ok(());
-        }
-        let kb = KnowledgeBase::new();
-        let table = FactTable::build(&source, &kb);
-        let mut cfg = MidasConfig::running_example();
-        cfg.max_properties_per_entity = 64;
-        cfg.max_initial_combinations_per_entity = 4096;
-        cfg.disable_profit_pruning = true;
-        let ctx = ProfitCtx::new(&table, cfg.cost);
-        let hierarchy = SliceHierarchy::build(&table, &ctx, &cfg);
+        extents_have_canonical_representatives(&grid)?;
+    }
+}
 
-        let canon: Vec<(midas::prelude::ExtentSet, Vec<u32>)> = hierarchy
-            .iter()
-            .filter(|&id| hierarchy.node(id).canonical)
-            .map(|id| {
-                let n = hierarchy.node(id);
-                (n.extent.clone(), n.props.to_vec())
-            })
-            .collect();
-        for id in hierarchy.iter() {
-            let node = hierarchy.node(id);
-            let found = canon
-                .iter()
-                .any(|(ext, props)| *ext == node.extent && props.len() >= node.props.len());
-            prop_assert!(found, "extent of a live node lacks a canonical representative");
+/// A failing grid recorded by an earlier proptest run, re-run through both
+/// canonicality properties. The in-repo proptest shim only generates fresh
+/// cases, so recorded inputs are pinned here as plain tests.
+#[test]
+fn recorded_regression_grid() {
+    let grid = vec![
+        vec![None, Some(2), None, None],
+        vec![Some(0), Some(2), Some(2), Some(1)],
+        vec![Some(1), Some(2), Some(2), Some(0)],
+        vec![None, None, Some(2), None],
+    ];
+    for check in [
+        canonical_nodes_match_closed_sets,
+        extents_have_canonical_representatives,
+    ] {
+        if let Err(e) = check(&grid) {
+            panic!("{e}");
         }
     }
 }

@@ -1,8 +1,10 @@
-//! Integration: persistence round-trips across the kb and extract crates.
+//! Integration: persistence round-trips across the kb, extract and core crates.
 
 use midas::extract::synthetic::{generate, SyntheticConfig};
 use midas::kb::io::{read_ntriples, read_tsv, write_ntriples, write_tsv};
 use midas::prelude::*;
+use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A generated corpus survives a TSV round-trip with identical slice
 /// discovery results.
@@ -107,6 +109,45 @@ fn awkward_terms_survive_both_formats() {
                 t2.resolve(round.object),
                 "{format}"
             );
+        }
+    }
+}
+
+/// A scratch snapshot path unique to this process and call.
+fn scratch_snapshot() -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    std::env::temp_dir().join(format!(
+        "midas-io-roundtrip-{}-{}.snap",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Corpus snapshots round-trip arbitrary knowledge bases, non-ASCII
+    /// terms included.
+    #[test]
+    fn corpus_snapshot_round_trips_kb(triples in proptest::collection::vec(any::<(u8, u8, u8)>(), 0..100)) {
+        let mut terms = Interner::new();
+        let mut kb = KnowledgeBase::new();
+        for &(s, p, o) in &triples {
+            kb.insert(Fact::intern(&mut terms, &format!("س{s}"), &format!("p{p}"), &format!("✓{o}")));
+        }
+        let path = scratch_snapshot();
+        midas::core::snapshot::save_corpus(&path, 9, &terms, &[], &kb, &[]).unwrap();
+        let loaded = midas::core::snapshot::load_corpus(&path, 9);
+        std::fs::remove_file(&path).ok();
+        let corpus = loaded.unwrap();
+        prop_assert_eq!(corpus.kb.len(), kb.len());
+        for f in kb.iter() {
+            let f2 = Fact::new(
+                corpus.terms.get(terms.resolve(f.subject)).unwrap(),
+                corpus.terms.get(terms.resolve(f.predicate)).unwrap(),
+                corpus.terms.get(terms.resolve(f.object)).unwrap(),
+            );
+            prop_assert!(corpus.kb.contains(&f2));
         }
     }
 }

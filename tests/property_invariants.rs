@@ -25,80 +25,98 @@ fn build(triples: &[(u8, u8, u8, bool)]) -> (Interner, SourceFacts, KnowledgeBas
     (terms, SourceFacts::new(url, facts), kb)
 }
 
+/// Every slice MIDASalg reports (a) has the extent its own property
+/// conjunction selects, (b) has recomputable counts, and (c) the full
+/// result set has positive total profit.
+fn midasalg_output_consistent(triples: &[(u8, u8, u8, bool)]) -> TestCaseResult {
+    let (_terms, source, kb) = build(triples);
+    let cfg = MidasConfig::running_example();
+    let alg = MidasAlg::new(cfg.clone());
+    let slices = alg.run(&source, &kb);
+
+    let table = FactTable::build(&source, &kb);
+    let ctx = ProfitCtx::new(&table, cfg.cost);
+    let mut acc = ctx.accumulator();
+    for s in &slices {
+        // (a) extent == σ_props(F_W)
+        let prop_ids: Vec<u32> = s
+            .properties
+            .iter()
+            .map(|&(p, v)| table.catalog().get(p, v).expect("known property"))
+            .collect();
+        let extent = table.extent_of(&prop_ids);
+        let mut subjects: Vec<Symbol> = extent.iter().map(|e| table.subject(e)).collect();
+        subjects.sort_unstable();
+        prop_assert_eq!(&subjects, &s.entities);
+
+        // (b) counts and profit recompute
+        prop_assert_eq!(table.facts_sum(&extent) as usize, s.num_facts);
+        prop_assert_eq!(table.new_sum(&extent) as usize, s.num_new_facts);
+        prop_assert!((ctx.profit_single(&extent) - s.profit).abs() < 1e-9);
+
+        acc.add(&ctx, &extent);
+    }
+    // (c) a non-empty result always has positive set profit (Algorithm 1
+    // only adds positive-marginal slices).
+    if !slices.is_empty() {
+        prop_assert!(acc.profit(&ctx) > 0.0);
+    }
+    Ok(())
+}
+
+/// Every selected slice covers at least one entity no earlier-selected
+/// slice covered (a fully-covered candidate has marginal −f_p < 0 and
+/// Algorithm 1 never adds it). Slices are returned in selection order.
+fn slices_add_fresh_coverage(triples: &[(u8, u8, u8, bool)]) -> TestCaseResult {
+    let (_t, source, kb) = build(triples);
+    let alg = MidasAlg::new(MidasConfig::running_example());
+    let slices = alg.run(&source, &kb);
+    let mut covered = std::collections::BTreeSet::new();
+    for s in &slices {
+        let fresh = s.entities.iter().filter(|e| !covered.contains(*e)).count();
+        prop_assert!(fresh > 0, "slice added no uncovered entity");
+        covered.extend(s.entities.iter().copied());
+    }
+    Ok(())
+}
+
+/// Adding facts to the knowledge base never increases any slice's
+/// profit (gain is monotone in novelty).
+fn profit_monotone_in_kb_coverage(triples: &[(u8, u8, u8, bool)]) -> TestCaseResult {
+    let (_t, source, kb) = build(triples);
+    let mut bigger = kb.clone();
+    for f in source.facts.iter().take(source.facts.len() / 2) {
+        bigger.insert(*f);
+    }
+    let cfg = MidasConfig::running_example();
+    let t1 = FactTable::build(&source, &kb);
+    let t2 = FactTable::build(&source, &bigger);
+    let c1 = ProfitCtx::new(&t1, cfg.cost);
+    let c2 = ProfitCtx::new(&t2, cfg.cost);
+    let all = midas::prelude::ExtentSet::full(t1.num_entities() as u32);
+    prop_assert!(c2.profit_single(&all) <= c1.profit_single(&all) + 1e-9);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every slice MIDASalg reports (a) has the extent its own property
-    /// conjunction selects, (b) has recomputable counts, and (c) the full
-    /// result set has positive total profit.
+    /// See [`midasalg_output_consistent`].
     #[test]
     fn midasalg_output_is_consistent(triples in proptest::collection::vec(any::<(u8, u8, u8, bool)>(), 1..120)) {
-        let (_terms, source, kb) = build(&triples);
-        let cfg = MidasConfig::running_example();
-        let alg = MidasAlg::new(cfg.clone());
-        let slices = alg.run(&source, &kb);
-
-        let table = FactTable::build(&source, &kb);
-        let ctx = ProfitCtx::new(&table, cfg.cost);
-        let mut acc = ctx.accumulator();
-        for s in &slices {
-            // (a) extent == σ_props(F_W)
-            let prop_ids: Vec<u32> = s
-                .properties
-                .iter()
-                .map(|&(p, v)| table.catalog().get(p, v).expect("known property"))
-                .collect();
-            let extent = table.extent_of(&prop_ids);
-            let mut subjects: Vec<Symbol> = extent.iter().map(|e| table.subject(e)).collect();
-            subjects.sort_unstable();
-            prop_assert_eq!(&subjects, &s.entities);
-
-            // (b) counts and profit recompute
-            prop_assert_eq!(table.facts_sum(&extent) as usize, s.num_facts);
-            prop_assert_eq!(table.new_sum(&extent) as usize, s.num_new_facts);
-            prop_assert!((ctx.profit_single(&extent) - s.profit).abs() < 1e-9);
-
-            acc.add(&ctx, &extent);
-        }
-        // (c) a non-empty result always has positive set profit (Algorithm 1
-        // only adds positive-marginal slices).
-        if !slices.is_empty() {
-            prop_assert!(acc.profit(&ctx) > 0.0);
-        }
+        midasalg_output_consistent(&triples)?;
     }
 
-    /// Every selected slice covers at least one entity no earlier-selected
-    /// slice covered (a fully-covered candidate has marginal −f_p < 0 and
-    /// Algorithm 1 never adds it). Slices are returned in selection order.
+    /// See [`slices_add_fresh_coverage`].
     #[test]
     fn every_slice_adds_fresh_coverage(triples in proptest::collection::vec(any::<(u8, u8, u8, bool)>(), 1..120)) {
-        let (_t, source, kb) = build(&triples);
-        let alg = MidasAlg::new(MidasConfig::running_example());
-        let slices = alg.run(&source, &kb);
-        let mut covered = std::collections::BTreeSet::new();
-        for s in &slices {
-            let fresh = s.entities.iter().filter(|e| !covered.contains(*e)).count();
-            prop_assert!(fresh > 0, "slice added no uncovered entity");
-            covered.extend(s.entities.iter().copied());
-        }
+        slices_add_fresh_coverage(&triples)?;
     }
 
-    /// Adding facts to the knowledge base never increases any slice's
-    /// profit (gain is monotone in novelty).
+    /// See [`profit_monotone_in_kb_coverage`].
     #[test]
     fn profit_is_monotone_in_kb_coverage(triples in proptest::collection::vec(any::<(u8, u8, u8, bool)>(), 1..80)) {
-        let (_t, source, kb) = build(&triples);
-        let mut bigger = kb.clone();
-        for f in source.facts.iter().take(source.facts.len() / 2) {
-            bigger.insert(*f);
-        }
-        let cfg = MidasConfig::running_example();
-        let t1 = FactTable::build(&source, &kb);
-        let t2 = FactTable::build(&source, &bigger);
-        let c1 = ProfitCtx::new(&t1, cfg.cost);
-        let c2 = ProfitCtx::new(&t2, cfg.cost);
-        let all = midas::prelude::ExtentSet::full(t1.num_entities() as u32);
-        prop_assert!(c2.profit_single(&all) <= c1.profit_single(&all) + 1e-9);
+        profit_monotone_in_kb_coverage(&triples)?;
     }
 
     /// URL parsing is idempotent and parents strictly reduce depth.
@@ -151,6 +169,39 @@ proptest! {
         prop_assert_eq!(kb.len(), reference.len());
         for f in &reference {
             prop_assert!(kb.contains(f));
+        }
+    }
+}
+
+/// A failing input recorded by an earlier proptest run, re-run through every
+/// property over `(subject, predicate, object, in_kb)` triples. The in-repo
+/// proptest shim only generates fresh cases, so recorded inputs are pinned
+/// here as plain tests.
+#[test]
+fn recorded_regression_triples() {
+    let triples = [
+        (0, 0, 0, false),
+        (37, 0, 0, false),
+        (0, 4, 24, false),
+        (0, 0, 0, false),
+        (104, 0, 0, false),
+        (176, 13, 0, false),
+        (199, 89, 227, false),
+        (200, 83, 59, true),
+        (38, 104, 60, true),
+        (63, 99, 145, false),
+        (31, 119, 112, false),
+        (103, 232, 223, true),
+        (183, 83, 72, true),
+        (231, 253, 19, false),
+    ];
+    for check in [
+        midasalg_output_consistent,
+        slices_add_fresh_coverage,
+        profit_monotone_in_kb_coverage,
+    ] {
+        if let Err(e) = check(&triples) {
+            panic!("{e}");
         }
     }
 }
