@@ -12,9 +12,12 @@
 //! - `f_LB` slice-set unions go through an `FnvHashSet<EntityId>`;
 //! - `link` deduplicates with a linear `contains` scan.
 //!
-//! Only the construction-relevant surface is ported (no seeded/multi-source
-//! variant); pruning decisions are identical to the optimized engine, which
-//! `tests/seed_reference_parity.rs` asserts.
+//! It is also the engine's Apriori oracle: it builds the hierarchy as
+//! §III-A describes it — every subset of every initial slice, then
+//! Proposition 12 deletes the non-canonical ones and relinks their
+//! children — where the engine enumerates the canonical slices directly.
+//! `tests/seed_reference_parity.rs` asserts that the oracle's live nodes,
+//! in id order, are the engine's nodes, links, `SLB` sets and profits.
 
 use midas_core::fact_table::{intersect_sorted, EntityId, PropertyId};
 use midas_core::{FactTable, MidasConfig, ProfitCtx};
@@ -51,7 +54,7 @@ pub struct SeedNode {
 }
 
 /// Seed-style slice hierarchy over sorted-vector extents.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SeedHierarchy {
     /// All nodes, removed ones included.
     pub nodes: Vec<SeedNode>,
@@ -117,22 +120,66 @@ impl SeedHierarchy {
         ctx: &ProfitCtx<'_>,
         config: &MidasConfig,
     ) -> Self {
-        let mut h = SeedHierarchy {
-            nodes: Vec::new(),
-            by_key: FnvHashMap::default(),
-            levels: Vec::new(),
-            max_level: 0,
-            capped: false,
-        };
+        let mut h = Self::default();
         h.seed_from_entities(table, lists, config);
-        for l in (1..=h.max_level).rev() {
-            if l > 1 {
-                h.generate_parents(table, lists, config, l);
-            }
-            h.prune_non_canonical(l);
-            h.evaluate_and_prune_profit(ctx, config, l);
-        }
+        h.construct(table, lists, ctx, config);
         h
+    }
+
+    /// Seed-style construction from explicit initial property sets (the
+    /// framework's multi-source case). A seed that matches no entity is
+    /// created and removed at once.
+    pub fn build_seeded(
+        table: &FactTable,
+        lists: &SeedLists,
+        ctx: &ProfitCtx<'_>,
+        config: &MidasConfig,
+        seeds: &[Vec<PropertyId>],
+    ) -> Self {
+        let mut h = Self::default();
+        for seed in seeds {
+            let mut s = seed.clone();
+            s.sort_unstable();
+            s.dedup();
+            if s.is_empty() {
+                continue;
+            }
+            let id = h.get_or_create(table, lists, s.into_boxed_slice());
+            let node = &mut h.nodes[id as usize];
+            if node.extent.is_empty() {
+                node.removed = true;
+            } else {
+                node.is_initial = true;
+            }
+        }
+        h.construct(table, lists, ctx, config);
+        h
+    }
+
+    fn construct(
+        &mut self,
+        table: &FactTable,
+        lists: &SeedLists,
+        ctx: &ProfitCtx<'_>,
+        config: &MidasConfig,
+    ) {
+        for l in (1..=self.max_level).rev() {
+            if l > 1 {
+                self.generate_parents(table, lists, config, l);
+            }
+            self.prune_non_canonical(l);
+            self.evaluate_and_prune_profit(ctx, config, l);
+        }
+    }
+
+    /// Live node ids at `level`, in creation order.
+    pub fn level(&self, level: usize) -> impl Iterator<Item = NodeId> + '_ {
+        self.levels
+            .get(level)
+            .into_iter()
+            .flatten()
+            .copied()
+            .filter(move |&id| !self.nodes[id as usize].removed)
     }
 
     /// Live-node count — the seed's O(nodes) scan.
@@ -257,9 +304,13 @@ impl SeedHierarchy {
         }
     }
 
+    /// Keeps children sorted by id, as the engine does: evaluation unions
+    /// the children's `SLB` sets in this order.
     fn link(&mut self, parent: NodeId, child: NodeId) {
-        if !self.nodes[parent as usize].children.contains(&child) {
-            self.nodes[parent as usize].children.push(child);
+        let children = &mut self.nodes[parent as usize].children;
+        if !children.contains(&child) {
+            let pos = children.partition_point(|&c| c < child);
+            children.insert(pos, child);
             self.nodes[child as usize].parents.push(parent);
         }
     }

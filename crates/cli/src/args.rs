@@ -94,7 +94,8 @@ OBSERVABILITY (all subcommands):
 ROBUSTNESS (discover, eval, augment):
   --lenient                quarantine malformed input lines instead of aborting
   --max-source-facts N     quarantine sources carrying more than N facts
-  --max-source-nodes N     quarantine a source whose slice hierarchy exceeds N nodes
+  --max-source-nodes N     quarantine a source whose slice hierarchy has more than
+                           N canonical slices
   --source-deadline-ms MS  quarantine a source still running after MS milliseconds
   --stream-window N        admit at most N sources to a round's pool at once
                            (default: unbounded). Caps peak memory — completed

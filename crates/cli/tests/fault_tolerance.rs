@@ -274,3 +274,48 @@ fn malformed_faultinject_spec_is_a_usage_error() {
     assert!(err.to_string().contains("MIDAS_FAULTINJECT"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `--max-source-nodes N` counts canonical slices: a source whose initial
+/// slices have more than N closed sets is quarantined, while a wide source
+/// with one 8-property initial slice passes — its Apriori subset lattice
+/// had 2^8 − 1 nodes, but its only canonical slice is that initial one.
+#[test]
+fn max_source_nodes_counts_canonical_slices() {
+    let _session = plan_session();
+    let dir = tmpdir("nodecap");
+    let facts = dir.join("facts.tsv");
+    let mut tsv = String::new();
+    let wide = "http://wide.example.org/all.html";
+    for e in 0..3 {
+        for p in 0..8 {
+            tsv.push_str(&format!("{wide}\twide{e}\tattr{p}\tvalue{p}\n"));
+        }
+    }
+    // Entity i carries every flag but flag i: the closed sets are the 31
+    // non-empty intersections of the five flag sets, each with `kind`.
+    let branchy = "http://branchy.example.org/all.html";
+    for e in 0..5 {
+        tsv.push_str(&format!("{branchy}\tbranchy{e}\tkind\tthing\n"));
+        for f in (0..5).filter(|&f| f != e) {
+            tsv.push_str(&format!("{branchy}\tbranchy{e}\tflag{f}\tyes\n"));
+        }
+    }
+    std::fs::write(&facts, tsv).unwrap();
+    let mut out = Vec::new();
+    run(
+        &argv(&format!(
+            "discover --facts {} --max-source-nodes 10",
+            facts.to_str().unwrap()
+        )),
+        &mut out,
+    )
+    .unwrap();
+    let text = String::from_utf8(out).unwrap();
+    let (results, quarantine) = text
+        .split_once("quarantined 1 source(s):")
+        .unwrap_or_else(|| panic!("exactly one source quarantined:\n{text}"));
+    assert!(quarantine.contains("branchy.example.org"), "{text}");
+    assert!(!quarantine.contains("wide.example.org"), "{text}");
+    assert!(results.contains("wide.example.org"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -7,10 +7,11 @@
 //! before the framework gives up on it:
 //!
 //! * **fact-count cap** (`max_facts`): checked up front, before any work;
-//! * **hierarchy-node cap** (`max_nodes`): checked cooperatively at every
-//!   level boundary of the slice-hierarchy construction;
-//! * **wall-clock deadline** (`deadline`): checked cooperatively at level
-//!   boundaries *and* enforced across worker threads by the
+//! * **hierarchy-node cap** (`max_nodes`): checked cooperatively as the
+//!   slice-hierarchy construction finds each canonical slice;
+//! * **wall-clock deadline** (`deadline`): checked cooperatively at the
+//!   same points and at every level boundary of the profit evaluation,
+//!   *and* enforced across worker threads by the
 //!   `recv_timeout`-based collection loop of [`crate::parallel::par_map`].
 //!
 //! A source that blows its budget is abandoned by unwinding with a
@@ -38,11 +39,11 @@ pub struct SourceBudget {
     /// Cap on `|T_W|`, the source's fact count. Sources above the cap are
     /// quarantined before any detection work starts. Deterministic.
     pub max_facts: Option<usize>,
-    /// Cap on slice-hierarchy nodes created while detecting in this source.
-    /// Checked at level boundaries, so enforcement is level-granular but
-    /// deterministic. Contrast with `MidasConfig::max_hierarchy_nodes`,
-    /// which *stops expanding* and keeps partial results; breaching this
-    /// budget *discards* the source.
+    /// Cap on the canonical slices (closed property sets) of one hierarchy
+    /// built while detecting in this source. Checked as each one is found,
+    /// so enforcement is exact and deterministic. Contrast with
+    /// `MidasConfig::max_hierarchy_nodes`, which keeps the initial slices
+    /// and goes on; breaching this budget *discards* the source.
     pub max_nodes: Option<usize>,
     /// Wall-clock allowance for the source's detection work. Inherently
     /// non-deterministic; intended as a production back-stop, not for
@@ -224,21 +225,22 @@ pub fn breach_deadline() -> ! {
     })
 }
 
-/// Cooperative budget check, called at hierarchy level boundaries.
+/// Cooperative budget check, called as hierarchy construction finds each
+/// canonical slice and at every level boundary of its profit evaluation.
 ///
-/// `nodes_created` is the total node count of the hierarchy under
-/// construction. No-op without an active scope; unwinds with a
-/// [`BudgetBreach`] when the node cap or the deadline is exceeded.
-pub fn checkpoint(nodes_created: usize) {
+/// `nodes` is the node count of the hierarchy under construction so far.
+/// No-op without an active scope; unwinds with a [`BudgetBreach`] when the
+/// node cap or the deadline is exceeded.
+pub fn checkpoint(nodes: usize) {
     let Some(active) = ACTIVE.with(|a| *a.borrow()) else {
         return;
     };
     if let Some(cap) = active.max_nodes {
-        if nodes_created > cap {
+        if nodes > cap {
             breach(BudgetBreach {
                 kind: BreachKind::HierarchyNodes,
                 limit: cap as u64,
-                observed: nodes_created as u64,
+                observed: nodes as u64,
             });
         }
     }

@@ -65,9 +65,10 @@ pub struct MidasConfig {
     /// more distinct properties keep the most *selective* ones (smallest
     /// extents), bounding the O(2^k) property lattice.
     pub max_properties_per_entity: usize,
-    /// Global safety valve on hierarchy size; construction stops expanding
-    /// once this many nodes exist (results remain valid slices, possibly
-    /// missing some coarse ancestors).
+    /// Global safety valve on hierarchy size, in canonical slices: a source
+    /// whose initial slices have more closed property sets than this keeps
+    /// only its initial slices (results remain valid slices, missing the
+    /// coarser ancestors) and reports [`crate::SliceHierarchy::capped`].
     pub max_hierarchy_nodes: usize,
     /// Disables low-profit pruning — for the ablation benchmarks only.
     pub disable_profit_pruning: bool,
@@ -79,22 +80,21 @@ pub struct MidasConfig {
     /// report a low-profit-invalidated node, this also keeps invalidated
     /// nodes' extents alive instead of releasing them at the level boundary.
     pub always_report_best: bool,
-    /// Worker threads for level-wise hierarchy construction (parent
-    /// generation and profit evaluation). `1` = fully sequential. Any value
-    /// produces node-for-node identical hierarchies: parallel phases only
-    /// compute, and all structural mutation happens in a deterministic
-    /// sequential merge. A build issued from a pool worker (every
-    /// framework source task) runs sequentially whatever this says; see
-    /// [`crate::parallel::effective_threads`].
+    /// Worker threads for the level-wise profit evaluation of a hierarchy
+    /// build. `1` = fully sequential. Any value produces node-for-node
+    /// identical hierarchies: the parallel phase only computes, and every
+    /// mutation happens in a deterministic sequential merge. A build issued
+    /// from a pool worker (every framework source task) runs sequentially
+    /// whatever this says; see [`crate::parallel::effective_threads`].
     pub threads: usize,
     /// Per-source execution budget enforced by the framework rounds. Three
     /// knobs, all unlimited by default:
     ///
     /// * `max_facts` — sources with more facts are quarantined up front
     ///   (CLI: `--max-source-facts`);
-    /// * `max_nodes` — hierarchy construction beyond this many nodes
-    ///   quarantines the source at the next level boundary
-    ///   (CLI: `--max-source-nodes`);
+    /// * `max_nodes` — a hierarchy with more than this many canonical
+    ///   slices quarantines the source as soon as the construction finds
+    ///   one too many (CLI: `--max-source-nodes`);
     /// * `deadline` — wall-clock allowance per source, enforced across
     ///   workers (CLI: `--source-deadline-ms`).
     ///

@@ -620,7 +620,7 @@ pub fn avx2_ops() -> Option<&'static KernelOps> {
 
 /// Telemetry for the kernel layer: which table won dispatch, and call /
 /// word volumes per entry point. The wrappers tally through [`tally`] —
-/// one enabled check, then two sharded relaxed adds — so the disabled
+/// one enabled check, then a thread-local batch bump — so the disabled
 /// path costs a single predictable branch per kernel call.
 mod metrics {
     crate::counter!(pub DISPATCH_SCALAR, "kernel.dispatch.scalar");
@@ -654,58 +654,40 @@ const OP_IS_SUBSET: usize = 6;
 const OP_UNION_INTO: usize = 7;
 const NUM_OPS: usize = 8;
 
-/// The shared `(calls, words)` counter pair behind each tally row.
-static OP_SINKS: [(&crate::telemetry::Counter, &crate::telemetry::Counter); NUM_OPS] = [
-    (&metrics::AND_INTO_CALLS, &metrics::AND_INTO_WORDS),
-    (&metrics::OR_INTO_CALLS, &metrics::OR_INTO_WORDS),
-    (&metrics::ANDNOT_INTO_CALLS, &metrics::ANDNOT_INTO_WORDS),
-    (&metrics::AND_ASSIGN_CALLS, &metrics::AND_ASSIGN_WORDS),
-    (&metrics::OR_ASSIGN_CALLS, &metrics::OR_ASSIGN_WORDS),
-    (&metrics::COUNT_CALLS, &metrics::COUNT_WORDS),
-    (&metrics::IS_SUBSET_CALLS, &metrics::IS_SUBSET_WORDS),
-    (&metrics::UNION_INTO_CALLS, &metrics::UNION_INTO_WORDS),
+/// The shared counters behind the tally: row `2·op` counts the calls of
+/// `op`, row `2·op + 1` the words it touched.
+static OP_SINKS: [&crate::telemetry::Counter; 2 * NUM_OPS] = [
+    &metrics::AND_INTO_CALLS,
+    &metrics::AND_INTO_WORDS,
+    &metrics::OR_INTO_CALLS,
+    &metrics::OR_INTO_WORDS,
+    &metrics::ANDNOT_INTO_CALLS,
+    &metrics::ANDNOT_INTO_WORDS,
+    &metrics::AND_ASSIGN_CALLS,
+    &metrics::AND_ASSIGN_WORDS,
+    &metrics::OR_ASSIGN_CALLS,
+    &metrics::OR_ASSIGN_WORDS,
+    &metrics::COUNT_CALLS,
+    &metrics::COUNT_WORDS,
+    &metrics::IS_SUBSET_CALLS,
+    &metrics::IS_SUBSET_WORDS,
+    &metrics::UNION_INTO_CALLS,
+    &metrics::UNION_INTO_WORDS,
 ];
 
-/// Tallies are batched this many ops before draining to the shared
-/// counters: kernel calls are the innermost hot path (often one cache
-/// line of work), so paying two atomic RMWs per call costs double-digit
-/// percent on small extents. Batching into plain thread-local cells keeps
-/// the enabled path at a TLS bump and amortises the atomics to noise;
-/// snapshots stay monotone and lag a live thread by at most one batch
-/// (the remainder drains at thread exit).
-const FLUSH_EVERY: u64 = 1024;
-
-#[derive(Default)]
-struct LocalTally {
-    calls: [std::cell::Cell<u64>; NUM_OPS],
-    words: [std::cell::Cell<u64>; NUM_OPS],
-    pending: std::cell::Cell<u64>,
-}
-
-impl LocalTally {
-    fn flush(&self) {
-        for (op, (calls, words)) in OP_SINKS.iter().enumerate() {
-            let c = self.calls[op].take();
-            if c > 0 {
-                calls.add_always(c);
-            }
-            let w = self.words[op].take();
-            if w > 0 {
-                words.add_always(w);
-            }
-        }
-        self.pending.set(0);
-    }
-}
-
-impl Drop for LocalTally {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
+// Kernel calls are the innermost hot path (often one cache line of work),
+// so paying two atomic RMWs per call costs double-digit percent on small
+// extents. Batching into a thread-local tally keeps the enabled path at a
+// TLS bump and amortises the atomics to noise.
 thread_local! {
-    static TALLY: LocalTally = LocalTally::default();
+    static TALLY: crate::telemetry::LocalTally<{ 2 * NUM_OPS }> =
+        crate::telemetry::LocalTally::new(&OP_SINKS);
+}
+
+/// Drains this thread's batched kernel counts (run by
+/// [`crate::telemetry::snapshot`]).
+pub(crate) fn flush_tally() {
+    let _ = TALLY.try_with(|t| t.flush());
 }
 
 #[inline]
@@ -719,14 +701,9 @@ fn tally(op: usize, n: usize) {
 #[inline(never)]
 fn tally_enabled(op: usize, n: usize) {
     let _ = TALLY.try_with(|t| {
-        t.calls[op].set(t.calls[op].get() + 1);
-        t.words[op].set(t.words[op].get() + n as u64);
-        let pending = t.pending.get() + 1;
-        if pending >= FLUSH_EVERY {
-            t.flush();
-        } else {
-            t.pending.set(pending);
-        }
+        t.add(2 * op, 1);
+        t.add(2 * op + 1, n as u64);
+        t.end_event();
     });
 }
 

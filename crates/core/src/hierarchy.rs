@@ -1,44 +1,78 @@
 //! Slice-hierarchy construction (§III-A, step 1).
 //!
-//! The hierarchy is the property-subset lattice restricted to the property
-//! sets reachable from the *initial slices* (the maximal property
-//! combinations of each entity). Construction proceeds bottom-up, two levels
-//! at a time, exactly as the paper describes:
+//! The paper builds the hierarchy Apriori-style: every subset of every
+//! initial slice, bottom-up, after which Proposition 12 deletes the
+//! non-canonical ones (a slice is canonical iff it is initial or has at
+//! least two canonical children) and relinks their children. The canonical
+//! slices are exactly the **closed** property sets of the *initial family*
+//! `F` — the non-empty intersections of non-empty subfamilies of `F`
+//! (`tests/canonicality_bruteforce.rs`) — so this module builds only those:
 //!
-//! 1. **Parent generation** — each slice at level `l` (i.e. with `l`
-//!    properties) generates its `l` parents by dropping one property at a
-//!    time, Apriori-style.
-//! 2. **Canonicality pruning** (Proposition 12) — a slice is canonical iff
-//!    it is an initial slice or has at least two canonical children.
-//!    Non-canonical slices are *removed*: their children are re-linked to
-//!    their parents unless already reachable through another path.
-//! 3. **Low-profit pruning** — a canonical slice `S` is marked invalid when
-//!    `f({S}) < 0` or `f({S}) < f_LB(S)`, where `f_LB(S)` is the profit of
-//!    the best known set of slices in `S`'s subtree (`SLB(S)`). Invalid
-//!    slices stay in the hierarchy (they still generate parents and
-//!    participate in canonicality counting) but are never reported.
+//! 1. **Seeding.** `F` is the list of initial property sets, deduplicated
+//!    in seed order: each entity's capped cross-product of one value per
+//!    predicate ([`SliceHierarchy::build`]), or the framework's seeds
+//!    ([`SliceHierarchy::build_seeded`]) minus those with an empty extent.
+//!    These sets, not the entities, are the objects of the closure system:
+//!    multi-valued predicates and the `max_*_per_entity` caps make them
+//!    differ from the entities' property sets.
+//! 2. **Enumeration and links.** A walk from the empty set visits every
+//!    closed set `X` with `occ(X)`, the members of `F` containing `X`. Each
+//!    property `m ∉ X` found there has `occ(X ∪ {m}) = {o ∈ occ(X) : m ∈ o}`
+//!    and closure `Y = ⋂ occ(X ∪ {m})`; properties with equal occurrence
+//!    lists share one closure. By Lindig's cover test ("Fast Concept
+//!    Analysis", 2000), `Y` covers `X` (is a minimal closed strict
+//!    superset) iff exactly `|Y \ X|` properties lead to it, i.e. iff no
+//!    other property occurs in every member of the shared list. Covers
+//!    become `X`'s children — the relation the Apriori relinking produced —
+//!    and unseen ones are queued. Every closed set lies on a chain of covers
+//!    from the empty set, so the walk finds them all.
+//! 3. **Ids** follow the order in which the Apriori build created the
+//!    surviving nodes, because the traversal, the `SLB` unions and the
+//!    `always_report_best` tie-break read id order. Initial nodes come
+//!    first, in seed order; the rest are sorted by (level descending,
+//!    `|I*|`, seed index of `I*`, positions in `I*` of the properties
+//!    missing from `X`, lexicographically), where `I*` is the smallest
+//!    initial superset of `X`, the earliest on a tie. Why: Apriori creates
+//!    the parents of level `l + 1` in id order, each node dropping one
+//!    property at a time in position order, so a level-`l` node is created
+//!    by the first level-`l + 1` node containing it. By induction on the
+//!    level, that creator is `X ∪ {p}` for `p` the property of `I*` at the
+//!    last missing position: no superset of `X` has a smaller or earlier
+//!    `I*`, and dropping the last missing position leaves the
+//!    lexicographically least remainder. Within one creator, the dropped
+//!    property's position orders the parents, as in the key.
+//! 4. **Low-profit pruning**, level by level from the deepest up: a slice
+//!    `S` is marked invalid when `f({S}) < 0` or `f({S}) < f_LB(S)`, where
+//!    `f_LB(S)` is the profit of the best known set of slices in `S`'s
+//!    subtree (`SLB(S)`). Invalid slices stay but are never reported.
+//!
+//! **Caps count canonical slices.** A family with more closed sets than
+//! `max_hierarchy_nodes` keeps only its initial slices, unlinked, and sets
+//! [`SliceHierarchy::capped`] — at any thread count, as the enumeration is
+//! sequential. The per-source budget ([`crate::SourceBudget`]'s node cap
+//! and deadline) is checked as each closed set is found, so a blow-up
+//! stops mid-enumeration.
+
+use std::cmp::Reverse;
 
 use midas_kb::fnv::{FnvHashMap, FnvHashSet};
 
 use crate::config::MidasConfig;
 use crate::extent::ExtentSet;
 use crate::fact_table::{EntityId, FactTable, PropertyId};
-use crate::parallel::{effective_threads, par_map};
+use crate::parallel::par_map;
 use crate::profit::ProfitCtx;
 
 /// Construction/patch telemetry: how much evaluation work hierarchies do,
 /// how much of it warm patching avoids, and the extent-memory churn.
 ///
-/// The per-node counters (`nodes_evaluated`, `nodes_pruned`,
-/// `extents_freed`) fire hundreds of thousands of times per build, so
-/// they batch in plain thread-local cells and drain every [`FLUSH_EVERY`]
-/// events and at thread exit — totals exact once workers retire,
-/// snapshots monotone, hot path one TLS bump. The warm-patch counters are
-/// per-leaf (rare) and record directly.
+/// The per-node counters (`nodes_evaluated`, `extents_freed`) fire
+/// hundreds of thousands of times per build, so they batch in a
+/// thread-local [`LocalTally`](crate::telemetry::LocalTally). The
+/// warm-patch counters are per-leaf (rare) and record directly.
 mod metrics {
     crate::counter!(pub NODES_EVALUATED, "hierarchy.nodes_evaluated");
     crate::counter!(pub NODES_WARM_PATCHED, "hierarchy.nodes_warm_patched");
-    crate::counter!(pub NODES_PRUNED, "hierarchy.nodes_pruned");
     crate::counter!(pub EXTENTS_FREED, "hierarchy.extents_freed");
     crate::counter!(pub EXTENTS_REBUILT, "hierarchy.extents_rebuilt");
     crate::counter!(pub WARM_PATCHES, "hierarchy.warm_patch.applied");
@@ -46,45 +80,21 @@ mod metrics {
 }
 
 const KIND_NODES_EVALUATED: usize = 0;
-const KIND_NODES_PRUNED: usize = 1;
-const KIND_EXTENTS_FREED: usize = 2;
-const NUM_KINDS: usize = 3;
+const KIND_EXTENTS_FREED: usize = 1;
+const NUM_KINDS: usize = 2;
 
-static KIND_SINKS: [&crate::telemetry::Counter; NUM_KINDS] = [
-    &metrics::NODES_EVALUATED,
-    &metrics::NODES_PRUNED,
-    &metrics::EXTENTS_FREED,
-];
-
-/// Batched events per thread before draining to the shared counters.
-const FLUSH_EVERY: u64 = 1024;
-
-#[derive(Default)]
-struct Tally {
-    counts: [std::cell::Cell<u64>; NUM_KINDS],
-    pending: std::cell::Cell<u64>,
-}
-
-impl Tally {
-    fn flush(&self) {
-        for (kind, sink) in KIND_SINKS.iter().enumerate() {
-            let n = self.counts[kind].take();
-            if n > 0 {
-                sink.add_always(n);
-            }
-        }
-        self.pending.set(0);
-    }
-}
-
-impl Drop for Tally {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
+static KIND_SINKS: [&crate::telemetry::Counter; NUM_KINDS] =
+    [&metrics::NODES_EVALUATED, &metrics::EXTENTS_FREED];
 
 thread_local! {
-    static TALLY: Tally = Tally::default();
+    static TALLY: crate::telemetry::LocalTally<NUM_KINDS> =
+        crate::telemetry::LocalTally::new(&KIND_SINKS);
+}
+
+/// Drains this thread's batched hierarchy counts (run by
+/// [`crate::telemetry::snapshot`]).
+pub(crate) fn flush_tally() {
+    let _ = TALLY.try_with(|t| t.flush());
 }
 
 #[inline]
@@ -98,13 +108,8 @@ fn tally(kind: usize, n: u64) {
 #[inline(never)]
 fn tally_enabled(kind: usize, n: u64) {
     let _ = TALLY.try_with(|t| {
-        t.counts[kind].set(t.counts[kind].get() + n);
-        let pending = t.pending.get() + 1;
-        if pending >= FLUSH_EVERY {
-            t.flush();
-        } else {
-            t.pending.set(pending);
-        }
+        t.add(kind, n);
+        t.end_event();
     });
 }
 
@@ -112,8 +117,8 @@ fn tally_enabled(kind: usize, n: u64) {
 pub type NodeId = u32;
 
 /// One node's profit evaluation: `(node, profit, f(child SLB set), child
-/// SLB slices)` — `None` when the node was removed before evaluation.
-type ProfitEval = Option<(NodeId, f64, f64, Vec<NodeId>)>;
+/// SLB slices)`.
+type ProfitEval = (NodeId, f64, f64, Vec<NodeId>);
 
 /// One slice node.
 #[derive(Debug, Clone)]
@@ -122,20 +127,20 @@ pub struct SliceNode {
     pub props: Box<[PropertyId]>,
     /// Entity extent `Π`.
     pub extent: ExtentSet,
-    /// Children (slices with strictly more properties).
+    /// Children (the covers: minimal canonical slices with strictly more
+    /// properties), sorted by id.
     pub children: Vec<NodeId>,
-    /// Parents (slices with strictly fewer properties).
+    /// Parents (the nodes this one covers), sorted by id.
     pub parents: Vec<NodeId>,
     /// Whether the node came from an entity (or a framework seed).
     pub is_initial: bool,
-    /// Canonicality per Proposition 12 (meaningful once its level is processed).
+    /// Canonicality per Proposition 12. Always `true`: the builder creates
+    /// canonical slices only.
     pub canonical: bool,
-    /// `true` once the node is deleted as non-canonical.
-    pub removed: bool,
     /// `true` once the node's extent has been released at a level boundary
-    /// (removed or low-profit-invalidated nodes only). A freed extent reads
-    /// as the empty set; report paths must go through
-    /// [`SliceNode::live_extent`], which asserts this flag is clear.
+    /// (low-profit-invalidated nodes only). A freed extent reads as the
+    /// empty set; report paths must go through [`SliceNode::live_extent`],
+    /// which asserts this flag is clear.
     pub extent_freed: bool,
     /// `false` once the node is pruned as low-profit.
     pub valid: bool,
@@ -150,12 +155,12 @@ pub struct SliceNode {
 impl SliceNode {
     /// The node's extent, for report/traversal paths. Asserts (in debug
     /// builds) that the extent was not freed by the eager level-boundary
-    /// release — only removed or invalidated nodes are ever freed, and
-    /// neither must reach a report.
+    /// release — only invalidated nodes are ever freed, and they must not
+    /// reach a report.
     pub fn live_extent(&self) -> &ExtentSet {
         debug_assert!(
             !self.extent_freed,
-            "read of a freed extent: node was removed or invalidated and released at a level boundary"
+            "read of a freed extent: node was invalidated and released at a level boundary"
         );
         &self.extent
     }
@@ -165,19 +170,12 @@ impl SliceNode {
 #[derive(Debug)]
 pub struct SliceHierarchy {
     nodes: Vec<SliceNode>,
-    /// Cached per-node property-set hash (XOR of `prop_hash` over the set).
-    hashes: Vec<u64>,
-    /// Hash → candidate node ids (verified against `props` on lookup).
-    by_hash: FnvHashMap<u64, Vec<NodeId>>,
+    /// Node ids per level (property count), ascending; the last level is
+    /// the deepest non-empty one.
     levels: Vec<Vec<NodeId>>,
-    max_level: usize,
-    /// Live (non-removed) node count, maintained incrementally.
-    live: usize,
-    /// Whether the node-count safety valve stopped expansion.
+    /// Whether the initial family had more canonical slices than
+    /// `max_hierarchy_nodes`, so that only the initial slices were kept.
     pub capped: bool,
-    /// Number of nodes ever created (before pruning) — reported by the
-    /// pruning-effectiveness benchmarks.
-    pub nodes_created: usize,
 }
 
 impl SliceHierarchy {
@@ -206,38 +204,39 @@ impl SliceHierarchy {
         config: &MidasConfig,
         seeds: Option<&[Vec<PropertyId>]>,
     ) -> Self {
-        let mut h = SliceHierarchy {
-            nodes: Vec::new(),
-            hashes: Vec::new(),
-            by_hash: FnvHashMap::default(),
-            levels: Vec::new(),
-            max_level: 0,
-            live: 0,
-            capped: false,
-            nodes_created: 0,
-        };
+        let mut family = Family::default();
         match seeds {
-            Some(seeds) => h.seed_from_property_sets(table, config, seeds),
-            None => h.seed_from_entities(table, config),
+            Some(seeds) => {
+                for seed in seeds {
+                    // A seed that matches no entity in this table carries no
+                    // facts; drop it outright.
+                    let extent = table.extent_of(seed);
+                    if !extent.is_empty() {
+                        family.push(seed.clone());
+                    }
+                    extent.recycle();
+                }
+            }
+            None => family.seed_from_entities(table, config),
         }
-        h.construct_and_prune(table, ctx, config);
+        let mut h = Self::from_family(table, config, family.sets);
+        h.evaluate(ctx, config);
         h
     }
 
-    /// Number of live (non-removed) nodes.
+    /// Number of nodes.
     pub fn len(&self) -> usize {
-        debug_assert_eq!(self.live, self.nodes.iter().filter(|n| !n.removed).count());
-        self.live
+        self.nodes.len()
     }
 
-    /// Whether the hierarchy has no live nodes.
+    /// Whether the hierarchy has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.nodes.is_empty()
     }
 
     /// Deepest level (number of properties of the most specific slice).
     pub fn max_level(&self) -> usize {
-        self.max_level
+        self.levels.len().saturating_sub(1)
     }
 
     /// Node accessor.
@@ -245,24 +244,21 @@ impl SliceHierarchy {
         &self.nodes[id as usize]
     }
 
-    /// Live node ids at `level`, in creation order.
+    /// Node ids at `level`, ascending.
     pub fn level(&self, level: usize) -> impl Iterator<Item = NodeId> + '_ {
-        self.levels
-            .get(level)
-            .into_iter()
-            .flatten()
-            .copied()
-            .filter(move |&id| !self.nodes[id as usize].removed)
+        self.levels.get(level).into_iter().flatten().copied()
     }
 
-    /// All live node ids.
+    /// All node ids.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as NodeId).filter(move |&id| !self.nodes[id as usize].removed)
+        0..self.nodes.len() as NodeId
     }
 
-    /// Looks up a node by exact property set (must be sorted).
+    /// Looks up a node by exact property set (must be sorted) — a scan of
+    /// that set's level.
     pub fn find(&self, props: &[PropertyId]) -> Option<NodeId> {
-        self.lookup(set_hash(props), props)
+        self.level(props.len())
+            .find(|&id| *self.nodes[id as usize].props == *props)
     }
 
     /// Consumes the hierarchy once a shard's report is materialized,
@@ -280,386 +276,118 @@ impl SliceHierarchy {
 
     // ---- construction -----------------------------------------------------
 
-    fn lookup(&self, hash: u64, props: &[PropertyId]) -> Option<NodeId> {
-        self.by_hash
-            .get(&hash)?
-            .iter()
-            .copied()
-            .find(|&id| *self.nodes[id as usize].props == *props)
-    }
-
-    fn get_or_create(&mut self, table: &FactTable, props: Box<[PropertyId]>) -> NodeId {
-        let hash = set_hash(&props);
-        if let Some(id) = self.lookup(hash, &props) {
-            return id;
+    /// Creates the canonical nodes of `family` in Apriori id order, linked
+    /// to their covers (module doc, steps 2 and 3), or only the initial
+    /// nodes when the family has more closed sets than the node cap.
+    fn from_family(
+        table: &FactTable,
+        config: &MidasConfig,
+        family: Vec<Box<[PropertyId]>>,
+    ) -> Self {
+        let mut h = SliceHierarchy {
+            nodes: Vec::new(),
+            levels: Vec::new(),
+            capped: false,
+        };
+        let Some(mut lattice) = closed_sets(&family, config.max_hierarchy_nodes) else {
+            h.capped = true;
+            for props in family {
+                h.push_node(table, props, true);
+            }
+            return h;
+        };
+        let order = lattice.apriori_order(&family);
+        let mut id_of = vec![0 as NodeId; order.len()];
+        for (id, &c) in order.iter().enumerate() {
+            id_of[c as usize] = id as NodeId;
         }
-        let extent = table.extent_of(&props);
-        self.insert_node(props, hash, extent)
+        for &c in &order {
+            let c = c as usize;
+            let props = std::mem::take(&mut lattice.props[c]);
+            // Exactly the initial sets are their own smallest initial superset.
+            let initial = props == family[lattice.istar[c] as usize];
+            let id = h.push_node(table, props, initial);
+            let children = &mut h.nodes[id as usize].children;
+            children.extend(lattice.covers[c].iter().map(|&y| id_of[y as usize]));
+            children.sort_unstable();
+        }
+        for parent in 0..h.nodes.len() {
+            for k in 0..h.nodes[parent].children.len() {
+                let child = h.nodes[parent].children[k];
+                h.nodes[child as usize].parents.push(parent as NodeId);
+            }
+        }
+        h
     }
 
-    fn insert_node(&mut self, props: Box<[PropertyId]>, hash: u64, extent: ExtentSet) -> NodeId {
+    fn push_node(&mut self, table: &FactTable, props: Box<[PropertyId]>, initial: bool) -> NodeId {
         let level = props.len();
-        let id = u32::try_from(self.nodes.len()).expect("hierarchy overflow");
+        let id = NodeId::try_from(self.nodes.len()).expect("hierarchy overflow");
         if self.levels.len() <= level {
             self.levels.resize_with(level + 1, Vec::new);
         }
         self.levels[level].push(id);
-        self.max_level = self.max_level.max(level);
-        self.by_hash.entry(hash).or_default().push(id);
-        self.hashes.push(hash);
         self.nodes.push(SliceNode {
+            extent: table.extent_of(&props),
             props,
-            extent,
             children: Vec::new(),
             parents: Vec::new(),
-            is_initial: false,
-            canonical: false,
-            removed: false,
+            is_initial: initial,
+            canonical: true,
             extent_freed: false,
             valid: true,
             profit: 0.0,
             slb_profit: 0.0,
             slb_slices: Vec::new(),
         });
-        self.nodes_created += 1;
-        self.live += 1;
         id
     }
 
-    /// Creates the initial slices from entities: for each entity, the
-    /// cross-product of one property per predicate (capped).
-    fn seed_from_entities(&mut self, table: &FactTable, config: &MidasConfig) {
-        // Entities sharing a property set generate identical initial combos
-        // (the grouping, capping, and cross-product depend only on the set),
-        // so the expansion runs once per distinct set and repeats are a
-        // single hash probe. Real sources hit this constantly: entities of
-        // one schema share one property shape.
-        let mut seen_prop_sets: FnvHashSet<&[PropertyId]> = FnvHashSet::default();
-        for e in 0..table.num_entities() as EntityId {
-            let props = table.entity_properties(e);
-            if props.is_empty() {
-                continue;
-            }
-            if !seen_prop_sets.insert(props) {
-                continue;
-            }
-            // Group by predicate, preserving per-group value order.
-            let mut groups: Vec<(midas_kb::Symbol, Vec<PropertyId>)> = Vec::new();
-            for &pid in props {
-                let (pred, _) = table.catalog().pair(pid);
-                match groups.iter_mut().find(|(g, _)| *g == pred) {
-                    Some((_, v)) => v.push(pid),
-                    None => groups.push((pred, vec![pid])),
-                }
-            }
-            // Bound the lattice: keep the most selective predicates when an
-            // entity has too many.
-            if groups.len() > config.max_properties_per_entity {
-                groups.sort_by_key(|(_, v)| {
-                    v.iter()
-                        .map(|&p| table.catalog().extent(p).len())
-                        .min()
-                        .unwrap_or(usize::MAX)
-                });
-                groups.truncate(config.max_properties_per_entity);
-            }
-            // Cross product of one value per predicate, capped.
-            let mut combos: Vec<Vec<PropertyId>> = vec![Vec::with_capacity(groups.len())];
-            for (_, values) in &groups {
-                let mut next = Vec::with_capacity(combos.len() * values.len());
-                'outer: for combo in &combos {
-                    for &v in values {
-                        if next.len() + combos.len() >= config.max_initial_combinations_per_entity
-                            && !next.is_empty()
-                        {
-                            break 'outer;
-                        }
-                        let mut c = combo.clone();
-                        c.push(v);
-                        next.push(c);
-                    }
-                }
-                combos = next;
-            }
-            for mut combo in combos {
-                combo.sort_unstable();
-                let id = self.get_or_create(table, combo.into_boxed_slice());
-                self.nodes[id as usize].is_initial = true;
-            }
-        }
-    }
-
-    fn seed_from_property_sets(
-        &mut self,
-        table: &FactTable,
-        _config: &MidasConfig,
-        seeds: &[Vec<PropertyId>],
-    ) {
-        for seed in seeds {
-            let mut s = seed.clone();
-            s.sort_unstable();
-            s.dedup();
-            if s.is_empty() {
-                continue;
-            }
-            let id = self.get_or_create(table, s.into_boxed_slice());
-            let node = &mut self.nodes[id as usize];
-            if node.extent.is_empty() {
-                // A seed that matches no entity in this table carries no
-                // facts; drop it outright.
-                if !node.removed {
-                    node.removed = true;
-                    self.live -= 1;
-                    self.free_extent(id);
-                }
-                continue;
-            }
-            node.is_initial = true;
-        }
-    }
-
-    fn construct_and_prune(
-        &mut self,
-        table: &FactTable,
-        ctx: &ProfitCtx<'_>,
-        config: &MidasConfig,
-    ) {
-        for l in (1..=self.max_level).rev() {
-            // Cooperative per-source budget check at the level boundary: a
-            // source whose hierarchy outgrew its node cap or deadline is
-            // abandoned here (unwinding into the isolated worker pool)
-            // rather than ground to completion.
-            crate::budget::checkpoint(self.nodes_created);
-            if l > 1 {
-                self.generate_parents(table, config, l);
-            }
-            self.prune_non_canonical(l);
-            self.evaluate_and_prune_profit(ctx, config, l);
+    /// Step 4: profit evaluation and low-profit pruning, level by level
+    /// from the deepest up, with the cooperative budget check at every
+    /// level boundary (the deadline can still fire here).
+    fn evaluate(&mut self, ctx: &ProfitCtx<'_>, config: &MidasConfig) {
+        for l in (1..=self.max_level()).rev() {
+            crate::budget::checkpoint(self.nodes.len());
+            let ids = self.levels[l].clone();
+            self.evaluate_ids(ctx, config, ids);
             self.free_invalid_extents(config, l);
         }
-        crate::budget::checkpoint(self.nodes_created);
+        crate::budget::checkpoint(self.nodes.len());
     }
 
     /// Eagerly releases the extents of nodes pruned as *low-profit* at this
-    /// level boundary, extending the removed-node release of
-    /// [`Self::prune_non_canonical`] to nodes invalidated later in the
-    /// build (ROADMAP "Hierarchy memory"). An invalid node's extent is dead
-    /// weight for the rest of the build: invalid nodes never enter an `SLB`
-    /// slice set (a node nominates itself only when
+    /// level boundary (ROADMAP "Hierarchy memory"). An invalid node's
+    /// extent is dead weight for the rest of the build: invalid nodes never
+    /// enter an `SLB` slice set (a node nominates itself only when
     /// `profit >= f_child_set && profit > 0`, the exact complement of the
-    /// invalidation condition), parent extents at shallower levels come
-    /// from the catalog's inverted lists rather than child extents, and the
-    /// traversal skips `!valid` nodes before touching their extent. The
-    /// only remaining reader is the `always_report_best` fallback (which
-    /// may report an invalid node), so freeing is gated on it. Freeing is
-    /// deterministic in the node set, so parallel builds stay bit-identical
-    /// to `threads = 1`.
+    /// invalidation condition), parent extents come from the catalog's
+    /// inverted lists rather than child extents, and the traversal skips
+    /// `!valid` nodes before touching their extent. The only remaining
+    /// reader is the `always_report_best` fallback (which may report an
+    /// invalid node), so freeing is gated on it. Freeing is deterministic
+    /// in the node set, so parallel builds stay bit-identical to
+    /// `threads = 1`.
     fn free_invalid_extents(&mut self, config: &MidasConfig, l: usize) {
         if config.always_report_best {
             return;
         }
-        let ids: Vec<NodeId> = self.levels.get(l).cloned().unwrap_or_default();
-        for id in ids {
+        for k in 0..self.levels[l].len() {
+            let id = self.levels[l][k];
             let node = &self.nodes[id as usize];
-            if !node.removed && !node.valid && !node.extent_freed {
+            if !node.valid && !node.extent_freed {
                 self.free_extent(id);
             }
         }
     }
 
-    /// Step (1): generate the `l` parents of every slice at level `l`.
-    ///
-    /// Each parent's extent is derived *incrementally*: for a child with
-    /// properties `p_0 … p_{l-1}`, prefix/suffix intersection chains
-    /// (`pre[i] = ∩_{k<i} extent(p_k)`, `suf[i] = ∩_{k≥i} extent(p_k)`)
-    /// yield all `l` parent extents in `O(l)` intersections instead of the
-    /// `O(l²)` of re-intersecting `l−1` inverted lists per parent. Parent
-    /// lookups reuse the child's cached property-set hash
-    /// (`child ⊕ prop_hash(dropped)`), so no property list is allocated for
-    /// parents that already exist.
-    ///
-    /// The `max_hierarchy_nodes` safety valve is *level-atomic*: a level's
-    /// parents are either generated in full or not at all, so no level is
-    /// ever half-expanded.
-    fn generate_parents(&mut self, table: &FactTable, config: &MidasConfig, l: usize) {
-        if self.nodes.len() >= config.max_hierarchy_nodes {
-            self.capped = true;
-            return;
-        }
-        let ids: Vec<NodeId> = self.levels.get(l).cloned().unwrap_or_default();
-        // Inside a pool worker `effective_threads` is 1: the build takes the
-        // sequential path, exactly as at `threads = 1`.
-        let threads = effective_threads(config.threads);
-        if threads > 1 && ids.len() > 1 {
-            self.generate_parents_parallel(table, threads, ids);
-        } else {
-            self.generate_parents_sequential(table, ids);
-        }
-    }
-
-    fn generate_parents_sequential(&mut self, table: &FactTable, ids: Vec<NodeId>) {
-        for id in ids {
-            if self.nodes[id as usize].removed {
-                continue;
-            }
-            let props = self.nodes[id as usize].props.clone();
-            let child_hash = self.hashes[id as usize];
-            // Probe every parent up front (parents of one child are distinct
-            // sets, so earlier insertions of this loop can't satisfy a later
-            // probe). Chains only pay off when several parents are missing;
-            // a lone miss is cheaper through `extent_of`'s sorted-by-size
-            // early-exit intersection.
-            let found: Vec<Option<NodeId>> = (0..props.len())
-                .map(|skip| {
-                    let parent_hash = child_hash ^ prop_hash(props[skip]);
-                    self.by_hash.get(&parent_hash).and_then(|cands| {
-                        cands.iter().copied().find(|&c| {
-                            props_match_skip(&self.nodes[c as usize].props, &props, skip)
-                        })
-                    })
-                })
-                .collect();
-            let missing = found.iter().filter(|f| f.is_none()).count();
-            let mut chains: Option<(Vec<ExtentSet>, Vec<ExtentSet>)> = None;
-            for (skip, existing) in found.into_iter().enumerate() {
-                let pid = match existing {
-                    Some(pid) => pid,
-                    None => {
-                        let parent_props: Box<[PropertyId]> = props
-                            .iter()
-                            .enumerate()
-                            .filter(|&(i, _)| i != skip)
-                            .map(|(_, &p)| p)
-                            .collect();
-                        let extent = if missing == 1 {
-                            table.extent_of(&parent_props)
-                        } else {
-                            let (pre, suf) =
-                                chains.get_or_insert_with(|| extent_chains(table, &props));
-                            if skip == 0 {
-                                suf[1].clone()
-                            } else if skip == props.len() - 1 {
-                                pre[props.len() - 1].clone()
-                            } else {
-                                pre[skip].intersect(&suf[skip + 1])
-                            }
-                        };
-                        let parent_hash = child_hash ^ prop_hash(props[skip]);
-                        self.insert_node(parent_props, parent_hash, extent)
-                    }
-                };
-                self.link(pid, id);
-            }
-            if let Some((pre, suf)) = chains.take() {
-                recycle_chains(pre, suf);
-            }
-        }
-    }
-
-    /// Parallel variant: a read-only **map phase** derives the extent of
-    /// every parent that does not yet exist, then a sequential **merge
-    /// phase** applies insertions and links in child-id order — exactly the
-    /// mutation order of the sequential path, so the resulting hierarchy is
-    /// node-for-node identical. Parents shared by several children of the
-    /// same level are planned redundantly by each child; the merge keeps the
-    /// first plan and links the rest.
-    fn generate_parents_parallel(&mut self, table: &FactTable, threads: usize, ids: Vec<NodeId>) {
-        let this: &SliceHierarchy = self;
-        let plans: Vec<(NodeId, Vec<Option<ExtentSet>>)> = par_map(threads, ids, |id| {
-            if this.nodes[id as usize].removed {
-                return (id, Vec::new());
-            }
-            let props = &this.nodes[id as usize].props;
-            let child_hash = this.hashes[id as usize];
-            // Same hybrid as the sequential path: a lone missing parent goes
-            // through `extent_of`, several amortize the prefix/suffix chains.
-            // Either route yields the same normalized set, so the merge stays
-            // bit-identical to the sequential build.
-            let exists: Vec<bool> = (0..props.len())
-                .map(|skip| {
-                    let parent_hash = child_hash ^ prop_hash(props[skip]);
-                    this.by_hash.get(&parent_hash).is_some_and(|cands| {
-                        cands
-                            .iter()
-                            .any(|&c| props_match_skip(&this.nodes[c as usize].props, props, skip))
-                    })
-                })
-                .collect();
-            let missing = exists.iter().filter(|e| !**e).count();
-            let mut chains: Option<(Vec<ExtentSet>, Vec<ExtentSet>)> = None;
-            let per_skip = exists
-                .into_iter()
-                .enumerate()
-                .map(|(skip, exists)| {
-                    if exists {
-                        return None;
-                    }
-                    if missing == 1 {
-                        let parent_props: Vec<PropertyId> = props
-                            .iter()
-                            .enumerate()
-                            .filter(|&(i, _)| i != skip)
-                            .map(|(_, &p)| p)
-                            .collect();
-                        return Some(table.extent_of(&parent_props));
-                    }
-                    let (pre, suf) = chains.get_or_insert_with(|| extent_chains(table, props));
-                    Some(if skip == 0 {
-                        suf[1].clone()
-                    } else if skip == props.len() - 1 {
-                        pre[props.len() - 1].clone()
-                    } else {
-                        pre[skip].intersect(&suf[skip + 1])
-                    })
-                })
-                .collect();
-            if let Some((pre, suf)) = chains.take() {
-                recycle_chains(pre, suf);
-            }
-            (id, per_skip)
-        });
-        for (id, per_skip) in plans {
-            if per_skip.is_empty() {
-                continue;
-            }
-            let props = self.nodes[id as usize].props.clone();
-            let child_hash = self.hashes[id as usize];
-            for (skip, plan) in per_skip.into_iter().enumerate() {
-                let parent_hash = child_hash ^ prop_hash(props[skip]);
-                let existing = self.by_hash.get(&parent_hash).and_then(|cands| {
-                    cands
-                        .iter()
-                        .copied()
-                        .find(|&c| props_match_skip(&self.nodes[c as usize].props, &props, skip))
-                });
-                let pid = match existing {
-                    Some(pid) => pid,
-                    None => {
-                        let extent = plan.expect("missing parents are planned in the map phase");
-                        let parent_props: Box<[PropertyId]> = props
-                            .iter()
-                            .enumerate()
-                            .filter(|&(i, _)| i != skip)
-                            .map(|(_, &p)| p)
-                            .collect();
-                        self.insert_node(parent_props, parent_hash, extent)
-                    }
-                };
-                self.link(pid, id);
-            }
-        }
-    }
-
-    /// Releases the extent of a removed or invalid node into the scratch
-    /// pool, leaving a canonical empty set behind. Sequential and parallel
-    /// builds remove and invalidate the same nodes in the same order, so
-    /// freed extents stay node-for-node identical across thread counts.
+    /// Releases the extent of an invalid node into the scratch pool,
+    /// leaving a canonical empty set behind. Sequential and parallel builds
+    /// invalidate the same nodes in the same order, so freed extents stay
+    /// node-for-node identical across thread counts.
     fn free_extent(&mut self, id: NodeId) {
         let node = &mut self.nodes[id as usize];
-        debug_assert!(
-            node.removed || !node.valid,
-            "only removed or invalid nodes lose their extent"
-        );
+        debug_assert!(!node.valid, "only invalid nodes lose their extent");
         if !node.extent_freed {
             let universe = node.extent.universe();
             std::mem::replace(&mut node.extent, ExtentSet::empty(universe)).recycle();
@@ -668,132 +396,20 @@ impl SliceHierarchy {
         }
     }
 
-    fn link(&mut self, parent: NodeId, child: NodeId) {
-        // Children are kept sorted by id, so the duplicate check is a
-        // binary search instead of a linear scan.
-        if let Err(pos) = self.nodes[parent as usize].children.binary_search(&child) {
-            self.nodes[parent as usize].children.insert(pos, child);
-            self.nodes[child as usize].parents.push(parent);
-        }
-    }
-
-    fn unlink_all(&mut self, id: NodeId) -> (Vec<NodeId>, Vec<NodeId>) {
-        let parents = std::mem::take(&mut self.nodes[id as usize].parents);
-        let children = std::mem::take(&mut self.nodes[id as usize].children);
-        for &p in &parents {
-            self.nodes[p as usize].children.retain(|&c| c != id);
-        }
-        for &c in &children {
-            self.nodes[c as usize].parents.retain(|&p| p != id);
-        }
-        (parents, children)
-    }
-
-    /// Whether `target` is reachable from `from` through live children links.
-    /// Links always point from a property subset to a strict superset, so the
-    /// search only descends into nodes whose property set is a subset of the
-    /// target's.
-    /// `visited` is a per-node stamp array (indexed by node id) and `round`
-    /// a fresh stamp value per call — reused across calls so the DFS does no
-    /// per-call allocation or hashing.
-    fn is_descendant(
-        &self,
-        from: NodeId,
-        target: NodeId,
-        stack: &mut Vec<NodeId>,
-        visited: &mut [u32],
-        round: u32,
-    ) -> bool {
-        let target_props = &self.nodes[target as usize].props;
-        stack.clear();
-        stack.push(from);
-        while let Some(cur) = stack.pop() {
-            for &c in &self.nodes[cur as usize].children {
-                if c == target {
-                    return true;
-                }
-                let cn = &self.nodes[c as usize];
-                if cn.removed || visited[c as usize] == round {
-                    continue;
-                }
-                visited[c as usize] = round;
-                if cn.props.len() < target_props.len() && is_subset(&cn.props, target_props) {
-                    stack.push(c);
-                }
-            }
-        }
-        false
-    }
-
-    /// Step (2): canonicality per Proposition 12 at level `l`, removing
-    /// non-canonical slices and re-linking their children.
-    fn prune_non_canonical(&mut self, l: usize) {
-        let ids: Vec<NodeId> = self.levels.get(l).cloned().unwrap_or_default();
-        let mut stack: Vec<NodeId> = Vec::new();
-        let mut visited: Vec<u32> = vec![0; self.nodes.len()];
-        let mut round: u32 = 0;
-        for id in ids {
-            let node = &self.nodes[id as usize];
-            if node.removed {
-                continue;
-            }
-            let canonical = node.is_initial
-                || node
-                    .children
-                    .iter()
-                    .filter(|&&c| self.nodes[c as usize].canonical)
-                    .count()
-                    >= 2;
-            if canonical {
-                self.nodes[id as usize].canonical = true;
-                continue;
-            }
-            // Remove the node; re-link children to parents unless already
-            // reachable through another path. Its extent is dead weight from
-            // here on — release it at this level boundary (ROADMAP
-            // "Hierarchy memory") instead of holding it until the report.
-            self.nodes[id as usize].removed = true;
-            self.live -= 1;
-            tally(KIND_NODES_PRUNED, 1);
-            self.free_extent(id);
-            let (parents, children) = self.unlink_all(id);
-            for &p in &parents {
-                for &c in &children {
-                    round += 1;
-                    if !self.is_descendant(p, c, &mut stack, &mut visited, round) {
-                        self.link(p, c);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Step (3): profit evaluation, `SLB`/`f_LB` maintenance, and low-profit
-    /// pruning at level `l`.
+    /// Profit evaluation, `SLB`/`f_LB` maintenance, and low-profit pruning
+    /// for exactly `ids` (all at one level): a whole level at build time,
+    /// the level's dirty subset when warm-patching. Running the identical
+    /// computation and write-back for both is what keeps warm results
+    /// bit-identical to a fresh build.
     ///
     /// Nodes at one level are independent (each reads only its own extent
     /// and the already-finalized `SLB` data of deeper levels), so the pure
     /// computation runs through [`par_map`] and the results are written back
     /// sequentially — parallel runs are bit-identical to `threads = 1`.
-    fn evaluate_and_prune_profit(&mut self, ctx: &ProfitCtx<'_>, config: &MidasConfig, l: usize) {
-        let ids: Vec<NodeId> = self.levels.get(l).cloned().unwrap_or_default();
-        self.evaluate_ids(ctx, config, ids);
-    }
-
-    /// The shared evaluation body of [`Self::evaluate_and_prune_profit`] and
-    /// [`Self::warm_patch`]: profit, `SLB` union, and the validity decision
-    /// for exactly `ids` (all at one level). The two callers differ only in
-    /// which ids they pass — a whole level at build time, the level's dirty
-    /// subset when warm-patching — so running the identical computation and
-    /// write-back here is what keeps warm results bit-identical to a fresh
-    /// build.
     fn evaluate_ids(&mut self, ctx: &ProfitCtx<'_>, config: &MidasConfig, ids: Vec<NodeId>) {
         tally(KIND_NODES_EVALUATED, ids.len() as u64);
         let this: &SliceHierarchy = self;
         let evals: Vec<ProfitEval> = par_map(config.threads, ids, |id| {
-            if this.nodes[id as usize].removed {
-                return None;
-            }
             let node = &this.nodes[id as usize];
             let profit = ctx.profit_single(&node.extent);
 
@@ -825,10 +441,10 @@ impl SliceHierarchy {
                     .collect();
                 ctx.profit_of_union(&extents, child_set.len())
             };
-            Some((id, profit, f_child_set, child_set))
+            (id, profit, f_child_set, child_set)
         });
 
-        for (id, profit, f_child_set, child_set) in evals.into_iter().flatten() {
+        for (id, profit, f_child_set, child_set) in evals {
             let node = &mut self.nodes[id as usize];
             node.profit = profit;
             if profit >= f_child_set && profit > 0.0 {
@@ -852,8 +468,8 @@ impl SliceHierarchy {
     /// Patches an already-built hierarchy in place after a KB insertion
     /// delta, instead of rebuilding it from the (refreshed) fact table.
     ///
-    /// The hierarchy's *structure* — node set, levels, links, canonicality,
-    /// removals, `nodes_created`, `capped` — is a pure function of the
+    /// The hierarchy's *structure* — node set, levels, links, `capped` — is
+    /// a pure function of the
     /// source's fact rows and never of KB newness, so a delta that only
     /// flips facts from *new* to *known* (the only thing
     /// [`FactTable::refresh_new_counts`] does) leaves all of it valid. What
@@ -927,18 +543,15 @@ impl SliceHierarchy {
         // extent itself — is still answerable for nodes whose extent was
         // freed when they were invalidated.
         for (i, node) in self.nodes.iter().enumerate() {
-            if node.removed {
-                continue;
-            }
             dirty[i] = changed
                 .iter()
                 .any(|&e| is_subset(&node.props, table.entity_properties(e)));
         }
         let mut patched = 0u64;
-        for l in (1..=self.max_level).rev() {
-            // Same cooperative budget cadence as `construct_and_prune`, so
-            // budget faults fire at the same checkpoints either way.
-            crate::budget::checkpoint(self.nodes_created);
+        for l in (1..=self.max_level()).rev() {
+            // Same cooperative budget cadence as the build's evaluation
+            // pass, so budget faults fire at the same checkpoints either way.
+            crate::budget::checkpoint(self.nodes.len());
             let ids: Vec<NodeId> = self
                 .levels
                 .get(l)
@@ -966,100 +579,287 @@ impl SliceHierarchy {
             if !config.always_report_best {
                 for &id in &ids {
                     let node = &self.nodes[id as usize];
-                    if !node.removed && !node.valid && !node.extent_freed {
+                    if !node.valid && !node.extent_freed {
                         self.free_extent(id);
                     }
                 }
             }
         }
-        crate::budget::checkpoint(self.nodes_created);
+        crate::budget::checkpoint(self.nodes.len());
         metrics::WARM_PATCHES.inc();
         metrics::NODES_WARM_PATCHED.add(patched);
         true
     }
 }
 
-/// splitmix64-style avalanche of one property id. Set hashes XOR these
-/// together, so a parent's hash is `child_hash ^ prop_hash(dropped)` — O(1)
-/// per candidate, no property-list allocation.
-fn prop_hash(p: PropertyId) -> u64 {
-    let mut z = u64::from(p).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// The initial family `F` (module doc, step 1): initial property sets,
+/// deduplicated in seed order.
+#[derive(Default)]
+struct Family {
+    seen: FnvHashSet<Box<[PropertyId]>>,
+    sets: Vec<Box<[PropertyId]>>,
 }
 
-/// XOR-combined hash of a (duplicate-free) property set. Order-insensitive
-/// by construction; collisions are resolved by comparing the actual sets.
-fn set_hash(props: &[PropertyId]) -> u64 {
-    props.iter().fold(0, |h, &p| h ^ prop_hash(p))
-}
-
-/// Does `cand` equal `props` with the element at `skip` removed?
-/// Allocation-free candidate verification for parent lookups.
-fn props_match_skip(cand: &[PropertyId], props: &[PropertyId], skip: usize) -> bool {
-    if cand.len() + 1 != props.len() {
-        return false;
-    }
-    let mut j = 0;
-    for (i, &p) in props.iter().enumerate() {
-        if i == skip {
-            continue;
+impl Family {
+    /// Adds one initial property set unless it is empty or a repeat.
+    fn push(&mut self, mut props: Vec<PropertyId>) {
+        props.sort_unstable();
+        props.dedup();
+        if !props.is_empty() && !self.seen.contains(&props[..]) {
+            let props = props.into_boxed_slice();
+            self.seen.insert(props.clone());
+            self.sets.push(props);
         }
-        if cand[j] != p {
-            return false;
-        }
-        j += 1;
     }
-    true
+
+    /// The initial slices of the entities: for each entity, the
+    /// cross-product of one property per predicate (capped).
+    fn seed_from_entities(&mut self, table: &FactTable, config: &MidasConfig) {
+        // Entities sharing a property set generate identical initial combos
+        // (the grouping, capping, and cross-product depend only on the set),
+        // so the expansion runs once per distinct set. Real sources hit this
+        // constantly: entities of one schema share one property shape.
+        let mut seen_prop_sets: FnvHashSet<&[PropertyId]> = FnvHashSet::default();
+        for e in 0..table.num_entities() as EntityId {
+            let props = table.entity_properties(e);
+            if props.is_empty() || !seen_prop_sets.insert(props) {
+                continue;
+            }
+            // Group by predicate, preserving per-group value order.
+            let mut groups: Vec<(midas_kb::Symbol, Vec<PropertyId>)> = Vec::new();
+            for &pid in props {
+                let (pred, _) = table.catalog().pair(pid);
+                match groups.iter_mut().find(|(g, _)| *g == pred) {
+                    Some((_, v)) => v.push(pid),
+                    None => groups.push((pred, vec![pid])),
+                }
+            }
+            // Bound the lattice: keep the most selective predicates when an
+            // entity has too many.
+            if groups.len() > config.max_properties_per_entity {
+                groups.sort_by_key(|(_, v)| {
+                    v.iter()
+                        .map(|&p| table.catalog().extent(p).len())
+                        .min()
+                        .unwrap_or(usize::MAX)
+                });
+                groups.truncate(config.max_properties_per_entity);
+            }
+            // Cross product of one value per predicate, capped.
+            let mut combos: Vec<Vec<PropertyId>> = vec![Vec::with_capacity(groups.len())];
+            for (_, values) in &groups {
+                let mut next = Vec::with_capacity(combos.len() * values.len());
+                'outer: for combo in &combos {
+                    for &v in values {
+                        if next.len() + combos.len() >= config.max_initial_combinations_per_entity
+                            && !next.is_empty()
+                        {
+                            break 'outer;
+                        }
+                        let mut c = combo.clone();
+                        c.push(v);
+                        next.push(c);
+                    }
+                }
+                combos = next;
+            }
+            for combo in combos {
+                self.push(combo);
+            }
+        }
+    }
 }
 
-/// Prefix/suffix intersection chains over a child's inverted lists:
-/// `pre[i] = extent(p_0) ∩ … ∩ extent(p_{i-1})` for `i` in `1..l`, and
-/// `suf[i] = extent(p_i) ∩ … ∩ extent(p_{l-1})` for `i` in `1..l`.
-/// Index 0 of `pre` (and 0 / `l` of `suf`) are never read.
-fn extent_chains(table: &FactTable, props: &[PropertyId]) -> (Vec<ExtentSet>, Vec<ExtentSet>) {
-    let l = props.len();
-    debug_assert!(l >= 2);
-    let cat = table.catalog();
-    let mut pre: Vec<ExtentSet> = Vec::with_capacity(l);
-    pre.push(ExtentSet::empty(0));
-    pre.push(cat.extent(props[0]).clone());
-    for i in 2..l {
-        let mut next = pre[i - 1].clone();
-        next.intersect_with(cat.extent(props[i - 1]));
-        pre.push(next);
-    }
-    let mut suf: Vec<ExtentSet> = vec![ExtentSet::empty(0); l + 1];
-    suf[l - 1] = cat.extent(props[l - 1]).clone();
-    for i in (1..l - 1).rev() {
-        let mut next = suf[i + 1].clone();
-        next.intersect_with(cat.extent(props[i]));
-        suf[i] = next;
-    }
-    (pre, suf)
+/// The closed sets of an initial family and their covers, in the order the
+/// enumeration found them.
+#[derive(Default)]
+struct Lattice {
+    /// Per closed set: its properties, sorted.
+    props: Vec<Box<[PropertyId]>>,
+    /// Per closed set: the family index of `I*`, its smallest superset in
+    /// the family (the earliest on a tie).
+    istar: Vec<u32>,
+    /// Per closed set: its covers, as indices into `props`.
+    covers: Vec<Vec<u32>>,
 }
 
-/// Returns the chain sets of [`extent_chains`] to the scratch pool once all
-/// parent extents of a child have been derived (the derived extents are
-/// clones or fresh intersections, never views into the chains).
-fn recycle_chains(pre: Vec<ExtentSet>, suf: Vec<ExtentSet>) {
-    for e in pre.into_iter().chain(suf) {
-        e.recycle();
+impl Lattice {
+    /// The closed-set indices in the Apriori build's creation order
+    /// (module doc, step 3).
+    fn apriori_order(&self, family: &[Box<[PropertyId]>]) -> Vec<u32> {
+        // Per closed set, the positions in `I*` of the properties missing
+        // from it, as a range of one flat buffer; empty for initial sets.
+        let mut missing: Vec<u32> = Vec::new();
+        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(self.props.len());
+        for (x, &i) in self.props.iter().zip(&self.istar) {
+            let start = missing.len();
+            let mut j = 0;
+            for (pos, &p) in family[i as usize].iter().enumerate() {
+                if x.get(j) == Some(&p) {
+                    j += 1;
+                } else {
+                    missing.push(pos as u32);
+                }
+            }
+            spans.push((start, missing.len()));
+        }
+        let key = |c: u32| {
+            let c = c as usize;
+            let (start, end) = spans[c];
+            let i = self.istar[c];
+            if start == end {
+                (false, Reverse(0), 0, i, &missing[..0])
+            } else {
+                let level = self.props[c].len();
+                let width = family[i as usize].len();
+                (true, Reverse(level), width, i, &missing[start..end])
+            }
+        };
+        let mut order: Vec<u32> = (0..self.props.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
+        order
     }
 }
 
-fn is_subset(sub: &[PropertyId], sup: &[PropertyId]) -> bool {
-    // Both sorted.
-    let mut j = 0;
-    for &x in sub {
-        while j < sup.len() && sup[j] < x {
-            j += 1;
+/// Enumerates the closed sets of `family` and their covers by walking
+/// covers up from the empty set (module doc, step 2). Returns `None` once more
+/// than `max_nodes` closed sets exist; checks the per-source budget as each
+/// one is found.
+fn closed_sets(family: &[Box<[PropertyId]>], max_nodes: usize) -> Option<Lattice> {
+    let mut lattice = Lattice::default();
+    // Dense local property indices size the per-property buckets by the
+    // family, not by the table's catalog.
+    let mut attrs: Vec<PropertyId> = family.iter().flat_map(|s| s.iter().copied()).collect();
+    attrs.sort_unstable();
+    attrs.dedup();
+    let objects: Vec<Vec<u32>> = family
+        .iter()
+        .map(|s| {
+            s.iter()
+                .map(|p| attrs.binary_search(p).expect("family property") as u32)
+                .collect()
+        })
+        .collect();
+    let smallest = |occ: &[u32]| -> u32 {
+        *occ.iter()
+            .min_by_key(|&&t| (objects[t as usize].len(), t))
+            .expect("non-empty occurrence list")
+    };
+
+    let mut sets: Vec<Box<[u32]>> = Vec::new();
+    let mut index: FnvHashMap<Box<[u32]>, u32> = FnvHashMap::default();
+    // `occ(X ∪ {m})` per property `m`, filled for one `X` at a time.
+    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); attrs.len()];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut in_x = vec![false; attrs.len()];
+    let mut in_group = vec![false; attrs.len()];
+
+    // The walk starts below `⋂family` at the empty set, which is not a
+    // node: its only cover is `⋂family` when that is non-empty, and the
+    // minimal non-empty closed sets otherwise.
+    const EMPTY_SET: u32 = u32::MAX;
+    let mut stack: Vec<(u32, Vec<u32>)> = vec![(EMPTY_SET, (0..family.len() as u32).collect())];
+    while let Some((xi, occ)) = stack.pop() {
+        let x: Box<[u32]> = match xi {
+            EMPTY_SET => Box::default(),
+            _ => sets[xi as usize].clone(),
+        };
+        for &a in x.iter() {
+            in_x[a as usize] = true;
         }
-        if j >= sup.len() || sup[j] != x {
-            return false;
+        for &t in &occ {
+            for &m in &objects[t as usize] {
+                if !in_x[m as usize] {
+                    let bucket = &mut buckets[m as usize];
+                    if bucket.is_empty() {
+                        touched.push(m);
+                    }
+                    bucket.push(t);
+                }
+            }
         }
-        j += 1;
+        // Properties with equal occurrence lists share one closure: group
+        // them, ascending within each group.
+        touched.sort_unstable_by(|&a, &b| {
+            buckets[a as usize]
+                .cmp(&buckets[b as usize])
+                .then(a.cmp(&b))
+        });
+        let mut start = 0;
+        while start < touched.len() {
+            let occ_y = &buckets[touched[start] as usize];
+            let len = touched[start..]
+                .iter()
+                .take_while(|&&m| buckets[m as usize] == *occ_y)
+                .count();
+            let group = &touched[start..start + len];
+            start += len;
+            // Lindig's test: `X ∪ group` is a cover iff no other property
+            // occurs in every member of `occ_y` (each such property would
+            // have a strictly longer list containing `occ_y`).
+            for &m in group {
+                in_group[m as usize] = true;
+            }
+            let widened = objects[occ_y[0] as usize].iter().any(|&i| {
+                let other = &buckets[i as usize];
+                !in_x[i as usize]
+                    && !in_group[i as usize]
+                    && other.len() > occ_y.len()
+                    && is_subset(occ_y, other)
+            });
+            for &m in group {
+                in_group[m as usize] = false;
+            }
+            if widened {
+                continue;
+            }
+            let mut y: Vec<u32> = x.iter().chain(group).copied().collect();
+            y.sort_unstable();
+            let y = y.into_boxed_slice();
+            let yi = match index.get(&y) {
+                Some(&yi) => yi,
+                None => {
+                    let yi = sets.len() as u32;
+                    index.insert(y.clone(), yi);
+                    sets.push(y);
+                    lattice.istar.push(smallest(occ_y));
+                    lattice.covers.push(Vec::new());
+                    if sets.len() > max_nodes {
+                        return None;
+                    }
+                    crate::budget::checkpoint(sets.len());
+                    stack.push((yi, occ_y.clone()));
+                    yi
+                }
+            };
+            if xi != EMPTY_SET {
+                lattice.covers[xi as usize].push(yi);
+            }
+        }
+        for &m in &touched {
+            buckets[m as usize].clear();
+        }
+        touched.clear();
+        for &a in x.iter() {
+            in_x[a as usize] = false;
+        }
+    }
+    lattice.props = sets
+        .iter()
+        .map(|s| s.iter().map(|&a| attrs[a as usize]).collect())
+        .collect();
+    Some(lattice)
+}
+
+fn is_subset(sub: &[u32], sup: &[u32]) -> bool {
+    // Both sorted: each element is searched for in what is left of `sup`,
+    // which keeps a short list against a long one logarithmic.
+    let mut rest = sup;
+    for x in sub {
+        match rest.binary_search(x) {
+            Ok(i) => rest = &rest[i + 1..],
+            Err(_) => return false,
+        }
     }
     true
 }
@@ -1189,21 +989,18 @@ mod tests {
         let ctx = ProfitCtx::new(&ft, cfg.cost);
         let h = SliceHierarchy::build(&ft, &ctx, &cfg);
         // {c1, c3} ("space programs started in 1959") selects the same
-        // entity as S1 but with fewer properties — non-canonical.
+        // entity as S1 but with fewer properties — non-canonical, so never
+        // built.
         let id = find_node(
             &h,
             &ft,
             &mut t,
             &[("category", "space_program"), ("started", "1959")],
         );
-        match id {
-            None => {}
-            Some(id) => assert!(h.node(id).removed),
-        }
+        assert_eq!(id, None);
         // Same for {c4, c6} vs S2.
-        if let Some(id) = find_node(&h, &ft, &mut t, &[("started", "1957"), ("sponsor", "NASA")]) {
-            assert!(h.node(id).removed);
-        }
+        let id = find_node(&h, &ft, &mut t, &[("started", "1957"), ("sponsor", "NASA")]);
+        assert_eq!(id, None);
     }
 
     #[test]
@@ -1289,10 +1086,10 @@ mod tests {
             ("started", "1957"),
             ("started", "1971"),
         ] {
-            let id = find_node(&h, &ft, &mut t, &[(p, v)]).unwrap();
-            assert!(
-                h.node(id).removed,
-                "singleton {p}={v} has one canonical child and must be removed"
+            assert_eq!(
+                find_node(&h, &ft, &mut t, &[(p, v)]),
+                None,
+                "singleton {p}={v} has one canonical child and must not be built"
             );
         }
     }
@@ -1410,56 +1207,6 @@ mod tests {
     }
 
     #[test]
-    fn set_hash_supports_incremental_parent_keys() {
-        let props = [3u32, 17, 42, 1000];
-        for skip in 0..props.len() {
-            let parent: Vec<PropertyId> = props
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != skip)
-                .map(|(_, &p)| p)
-                .collect();
-            assert_eq!(set_hash(&parent), set_hash(&props) ^ prop_hash(props[skip]));
-        }
-        assert_ne!(prop_hash(0), prop_hash(1));
-    }
-
-    #[test]
-    fn props_match_skip_helper() {
-        assert!(props_match_skip(&[2, 3], &[1, 2, 3], 0));
-        assert!(props_match_skip(&[1, 3], &[1, 2, 3], 1));
-        assert!(props_match_skip(&[1, 2], &[1, 2, 3], 2));
-        assert!(!props_match_skip(&[1, 3], &[1, 2, 3], 0));
-        assert!(!props_match_skip(&[1, 2, 3], &[1, 2, 3], 1));
-    }
-
-    /// The incrementally derived parent extents must equal a full
-    /// re-intersection of their inverted lists.
-    #[test]
-    fn generated_extents_match_full_reintersection() {
-        let mut t = Interner::new();
-        let (ft, mut cfg) = build_running_example(&mut t);
-        cfg.disable_profit_pruning = true;
-        let ctx = ProfitCtx::new(&ft, cfg.cost);
-        let h = SliceHierarchy::build(&ft, &ctx, &cfg);
-        assert!(h.max_level() >= 2);
-        for id in h.iter() {
-            let n = h.node(id);
-            assert_eq!(n.extent, ft.extent_of(&n.props), "props {:?}", n.props);
-        }
-    }
-
-    #[test]
-    fn len_tracks_live_nodes() {
-        let mut t = Interner::new();
-        let (ft, cfg) = build_running_example(&mut t);
-        let ctx = ProfitCtx::new(&ft, cfg.cost);
-        let h = SliceHierarchy::build(&ft, &ctx, &cfg);
-        assert_eq!(h.len(), h.iter().count());
-        assert!(!h.is_empty());
-    }
-
-    #[test]
     fn node_cap_below_seed_count_generates_nothing() {
         let mut t = Interner::new();
         let (ft, mut cfg) = build_running_example(&mut t);
@@ -1473,17 +1220,15 @@ mod tests {
     }
 
     fn assert_hierarchies_identical(a: &SliceHierarchy, b: &SliceHierarchy) {
-        assert_eq!(a.nodes_created, b.nodes_created);
         assert_eq!(a.len(), b.len());
-        assert_eq!(a.max_level(), b.max_level());
+        assert_eq!(a.levels, b.levels);
         assert_eq!(a.capped, b.capped);
-        for id in 0..a.nodes_created {
+        for id in 0..a.len() {
             let (x, y) = (&a.nodes[id], &b.nodes[id]);
             assert_eq!(x.props, y.props, "node {id}");
             assert_eq!(x.extent, y.extent, "node {id}");
             assert_eq!(x.children, y.children, "node {id}");
             assert_eq!(x.parents, y.parents, "node {id}");
-            assert_eq!(x.removed, y.removed, "node {id}");
             assert_eq!(x.extent_freed, y.extent_freed, "node {id}");
             assert_eq!(x.canonical, y.canonical, "node {id}");
             assert_eq!(x.valid, y.valid, "node {id}");
@@ -1589,29 +1334,47 @@ mod tests {
         assert_hierarchies_identical(&h, &fresh);
     }
 
-    /// The node cap is level-atomic: a level that starts under the cap is
-    /// expanded in full (even if it overshoots), and the next level is then
-    /// skipped entirely.
+    /// A family with more canonical slices than the node cap keeps only its
+    /// initial slices, unlinked, at any thread count.
     #[test]
-    fn node_cap_is_level_atomic() {
+    fn node_cap_keeps_only_the_initial_slices() {
         let mut t = Interner::new();
         let (ft, mut cfg) = build_running_example(&mut t);
-        // 4 seeds < 5, so level 3 → 2 expands fully (to 12 nodes);
-        // 12 ≥ 5, so level 2 → 1 is skipped as a whole.
-        cfg.max_hierarchy_nodes = 5;
         let ctx = ProfitCtx::new(&ft, cfg.cost);
+        let full = SliceHierarchy::build(&ft, &ctx, &cfg);
+        let initial = full.iter().filter(|&id| full.node(id).is_initial).count();
+        assert!(full.len() > initial + 1, "the example has generated slices");
+        cfg.max_hierarchy_nodes = full.len() - 1;
         let h = SliceHierarchy::build(&ft, &ctx, &cfg);
         assert!(h.capped, "cap must be reported");
-        // S5 = {category=rocket_family, sponsor=NASA} is generated mid-level
-        // after the count passed the cap — the level still finishes.
-        let s5 = find_node(
-            &h,
-            &ft,
-            &mut t,
-            &[("category", "rocket_family"), ("sponsor", "NASA")],
-        );
-        assert!(s5.is_some(), "level 3 → 2 must be expanded in full");
-        // No level-1 node exists at all: level 2 → 1 was skipped atomically.
-        assert_eq!(h.level(1).count(), 0);
+        assert_eq!(h.len(), initial);
+        for id in h.iter() {
+            let n = h.node(id);
+            assert!(n.is_initial);
+            assert!(n.children.is_empty() && n.parents.is_empty());
+            assert_eq!(
+                n.props,
+                full.node(id).props,
+                "initial slices keep seed order"
+            );
+        }
+        let h4 = SliceHierarchy::build(&ft, &ctx, &cfg.clone().with_threads(4));
+        assert_hierarchies_identical(&h, &h4);
+    }
+
+    /// A cap at or above the canonical-slice count builds the uncapped
+    /// hierarchy.
+    #[test]
+    fn node_cap_at_the_canonical_count_builds_everything() {
+        let mut t = Interner::new();
+        let (ft, mut cfg) = build_running_example(&mut t);
+        let ctx = ProfitCtx::new(&ft, cfg.cost);
+        let full = SliceHierarchy::build(&ft, &ctx, &cfg);
+        assert!(!full.capped);
+        for cap in [full.len(), full.len() + 1] {
+            cfg.max_hierarchy_nodes = cap;
+            let h = SliceHierarchy::build(&ft, &ctx, &cfg);
+            assert_hierarchies_identical(&h, &full);
+        }
     }
 }

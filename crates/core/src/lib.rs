@@ -13,8 +13,8 @@
 //! * **The profit function** (Definition 9): [`CostModel`] and
 //!   [`ProfitCtx`] quantify the value of a set of slices as
 //!   `gain − (crawl + de-dup + validation)` cost.
-//! * **MIDASalg** (§III-A): [`MidasAlg`] builds the slice hierarchy
-//!   bottom-up with canonicality pruning (Proposition 12) and low-profit
+//! * **MIDASalg** (§III-A): [`MidasAlg`] builds the slice hierarchy from
+//!   the canonical slices only (those Proposition 12 keeps) with low-profit
 //!   pruning (the `f_LB` subtree lower bound), then traverses it top-down
 //!   (Algorithm 1) to select the reported slices.
 //! * **The MIDAS framework** (§III-B): [`framework::Framework`] runs

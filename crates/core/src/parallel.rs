@@ -285,6 +285,7 @@ where
                         .send((i, out))
                         .expect("the collector outlives the scope");
                 }
+                telemetry::flush_thread_tallies();
             });
         }
         drop(res_tx);

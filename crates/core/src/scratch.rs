@@ -38,11 +38,8 @@ use std::sync::Mutex;
 /// the missing `put_flags` on the cold-rebuild fallback path.
 ///
 /// Take/put happen millions of times per run (once per node evaluation on
-/// the hot paths), so the counts are batched in plain thread-local cells
-/// and drained to the shared counters every [`FLUSH_EVERY`] events and at
-/// thread exit: totals stay exact once worker threads retire, snapshots
-/// stay monotone, and the enabled hot path is a TLS bump instead of an
-/// atomic RMW.
+/// the hot paths), so the counts batch in a thread-local
+/// [`LocalTally`](crate::telemetry::LocalTally).
 mod metrics {
     crate::counter!(pub TAKE_IDS, "scratch.take.ids");
     crate::counter!(pub PUT_IDS, "scratch.put.ids");
@@ -69,35 +66,15 @@ static KIND_SINKS: [&crate::telemetry::Counter; NUM_KINDS] = [
     &metrics::PUT_FLAGS,
 ];
 
-/// Batched events per thread before draining to the shared counters.
-const FLUSH_EVERY: u64 = 1024;
-
-#[derive(Default)]
-struct Tally {
-    counts: [std::cell::Cell<u64>; NUM_KINDS],
-    pending: std::cell::Cell<u64>,
-}
-
-impl Tally {
-    fn flush(&self) {
-        for (kind, sink) in KIND_SINKS.iter().enumerate() {
-            let n = self.counts[kind].take();
-            if n > 0 {
-                sink.add_always(n);
-            }
-        }
-        self.pending.set(0);
-    }
-}
-
-impl Drop for Tally {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 thread_local! {
-    static TALLY: Tally = Tally::default();
+    static TALLY: crate::telemetry::LocalTally<NUM_KINDS> =
+        crate::telemetry::LocalTally::new(&KIND_SINKS);
+}
+
+/// Drains this thread's batched pool counts (run by
+/// [`crate::telemetry::snapshot`]).
+pub(crate) fn flush_tally() {
+    let _ = TALLY.try_with(|t| t.flush());
 }
 
 #[inline]
@@ -111,13 +88,8 @@ fn tally(kind: usize) {
 #[inline(never)]
 fn tally_enabled(kind: usize) {
     let _ = TALLY.try_with(|t| {
-        t.counts[kind].set(t.counts[kind].get() + 1);
-        let pending = t.pending.get() + 1;
-        if pending >= FLUSH_EVERY {
-            t.flush();
-        } else {
-            t.pending.set(pending);
-        }
+        t.add(kind, 1);
+        t.end_event();
     });
 }
 

@@ -546,6 +546,93 @@ pub fn span(name: &'static str, hist: &'static Histogram) -> SpanGuard {
 }
 
 // ---------------------------------------------------------------------------
+// Thread-local tallies
+// ---------------------------------------------------------------------------
+
+/// Events a [`LocalTally`] batches before draining to its counters.
+const TALLY_FLUSH_EVERY: u64 = 1024;
+
+/// Counter increments batched in plain thread-local cells, for sites that
+/// fire hundreds of thousands of times per run (hierarchy evaluation, the
+/// extent kernels, the scratch pools): the enabled hot path is a TLS bump
+/// instead of an atomic RMW. A tally drains to its counters every
+/// [`TALLY_FLUSH_EVERY`] events, at thread exit, and — for the calling
+/// thread — at every [`snapshot`], so a snapshot is exact for every thread
+/// that has retired or is taking it, and monotone for the rest.
+pub(crate) struct LocalTally<const N: usize> {
+    sinks: &'static [&'static Counter; N],
+    counts: [std::cell::Cell<u64>; N],
+    pending: std::cell::Cell<u64>,
+}
+
+impl<const N: usize> LocalTally<N> {
+    /// An empty tally draining into `sinks` (index `i` feeds `sinks[i]`).
+    pub(crate) fn new(sinks: &'static [&'static Counter; N]) -> Self {
+        LocalTally {
+            sinks,
+            counts: std::array::from_fn(|_| std::cell::Cell::new(0)),
+            pending: std::cell::Cell::new(0),
+        }
+    }
+
+    /// Adds `n` to the pending count of `sinks[kind]`.
+    #[inline]
+    pub(crate) fn add(&self, kind: usize, n: u64) {
+        self.counts[kind].set(self.counts[kind].get() + n);
+    }
+
+    /// Closes one event (one or more [`Self::add`] calls); every
+    /// [`TALLY_FLUSH_EVERY`]-th drains the tally.
+    #[inline]
+    pub(crate) fn end_event(&self) {
+        let pending = self.pending.get() + 1;
+        if pending >= TALLY_FLUSH_EVERY {
+            self.flush();
+        } else {
+            self.pending.set(pending);
+        }
+    }
+
+    /// Drains every pending count into its counter.
+    pub(crate) fn flush(&self) {
+        for (count, sink) in self.counts.iter().zip(self.sinks) {
+            let n = count.take();
+            if n > 0 {
+                sink.add_always(n);
+            }
+        }
+        self.pending.set(0);
+    }
+}
+
+impl<const N: usize> Drop for LocalTally<N> {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// The flush hooks of every thread-local tally in the crate.
+const TALLY_FLUSH_HOOKS: [fn(); 3] = [
+    crate::hierarchy::flush_tally,
+    crate::scratch::flush_tally,
+    crate::extent::kernels::flush_tally,
+];
+
+/// Drains the calling thread's batched counts into their counters: the
+/// first step of every [`snapshot`], and the last of every pool worker,
+/// whose thread-exit drain could otherwise land after the scope that
+/// spawned it has returned.
+pub(crate) fn flush_thread_tallies() {
+    // Tallies only fill while recording is on.
+    if !enabled() {
+        return;
+    }
+    for flush in TALLY_FLUSH_HOOKS {
+        flush();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Snapshot
 // ---------------------------------------------------------------------------
 
@@ -569,8 +656,10 @@ pub struct Snapshot {
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
-/// Folds every registered metric into a [`Snapshot`].
+/// Folds every registered metric into a [`Snapshot`], after draining the
+/// calling thread's batched counts.
 pub fn snapshot() -> Snapshot {
+    flush_thread_tallies();
     let metrics = lock_registry();
     let mut snap = Snapshot::default();
     for m in metrics.iter() {

@@ -40,9 +40,9 @@ pub fn traverse(h: &SliceHierarchy, ctx: &ProfitCtx<'_>) -> Vec<NodeId> {
 }
 
 impl SliceHierarchy {
-    /// Total node slots ever allocated (for traversal bitmaps).
+    /// Node slots (for traversal bitmaps): the node count.
     pub fn capacity(&self) -> usize {
-        self.nodes_created
+        self.len()
     }
 }
 

@@ -158,7 +158,6 @@ fn assert_identical(a: &SliceHierarchy, b: &SliceHierarchy) {
         assert_eq!(x.children, y.children, "node {id}: children");
         assert_eq!(x.parents, y.parents, "node {id}: parents");
         assert_eq!(x.is_initial, y.is_initial, "node {id}: is_initial");
-        assert_eq!(x.removed, y.removed, "node {id}: removed");
         assert_eq!(x.canonical, y.canonical, "node {id}: canonical");
         assert_eq!(x.valid, y.valid, "node {id}: valid");
         assert_eq!(x.profit.to_bits(), y.profit.to_bits(), "node {id}: profit");
