@@ -16,7 +16,7 @@
 //! `speedup >= 5`.
 
 use criterion::peak_rss_kb;
-use midas_cli::snapshot_cache::load_inputs_cached;
+use midas_cli::snapshot_cache::load_inputs;
 use midas_core::{FactTable, Framework, FrameworkReport, MidasAlg, MidasConfig, SourceFacts};
 use midas_kb::{Fact, Interner, KnowledgeBase};
 use midas_weburl::SourceUrl;
@@ -97,7 +97,7 @@ fn main() {
 
     // Cold path: parse + per-source fact-table construction, no cache.
     let cold_start = Instant::now();
-    let cold = load_inputs_cached(facts_s, None, false, None, None).expect("cold load");
+    let cold = load_inputs(facts_s, None, false, None, None, threads).expect("cold load");
     let cold_tables: BTreeMap<SourceUrl, FactTable> = cold
         .sources
         .iter()
@@ -107,7 +107,7 @@ fn main() {
 
     // Populate the cache (miss: parse + build + snapshot write)...
     let miss_start = Instant::now();
-    let miss = load_inputs_cached(facts_s, None, false, Some(cache_s), None).expect("miss load");
+    let miss = load_inputs(facts_s, None, false, Some(cache_s), None, threads).expect("miss load");
     assert!(
         miss.notes.iter().any(|n| n.contains("write")),
         "first cached run must write the snapshot: {:?}",
@@ -118,7 +118,7 @@ fn main() {
 
     // ...then measure the warm path: mmap + zero-copy reassembly.
     let warm_start = Instant::now();
-    let warm = load_inputs_cached(facts_s, None, false, Some(cache_s), None).expect("warm load");
+    let warm = load_inputs(facts_s, None, false, Some(cache_s), None, threads).expect("warm load");
     let warm_ms = warm_start.elapsed().as_secs_f64() * 1e3;
     assert!(
         warm.notes.iter().any(|n| n.contains("hit")),

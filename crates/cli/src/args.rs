@@ -47,6 +47,13 @@ USAGE:
   midas augment  --facts FILE [--kb FILE] [--rounds N] [--threads N]
                  [--fp X] [--fc X] [--fd X] [--fv X] [--resume] [CACHING] [ROBUSTNESS]
 
+PARALLELISM (discover, eval, augment):
+  --threads N              worker threads (default 1). The pool first parses
+                           the facts and kb files, cut into 1 MiB line-aligned
+                           chunks and merged in file order, then runs the
+                           per-source detections. Output is byte-identical at
+                           every N.
+
 CACHING (discover, eval, augment):
   --snapshot-cache DIR     reuse parsed corpora across runs. The facts and kb
                            files are hashed together with the snapshot format

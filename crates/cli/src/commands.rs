@@ -310,12 +310,13 @@ fn discover(
     limits: RunLimits,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let loaded = snapshot_cache::load_inputs_cached(
+    let loaded = snapshot_cache::load_inputs(
         facts_path,
         kb_path,
         limits.lenient,
         cache.dir,
         cache.max_bytes,
+        threads,
     )?;
     let (mut terms, sources, kb, read_faults) =
         (loaded.terms, loaded.sources, loaded.kb, loaded.read_faults);
@@ -618,12 +619,13 @@ fn augment(
 ) -> Result<(), CliError> {
     // The augmentation loop memoises its own per-round tables; the snapshot
     // cache still removes the cold-start parse on every warm invocation.
-    let loaded = snapshot_cache::load_inputs_cached(
+    let loaded = snapshot_cache::load_inputs(
         facts_path,
         kb_path,
         limits.lenient,
         cache.dir,
         cache.max_bytes,
+        threads,
     )?;
     let (mut terms, sources, kb, read_faults) =
         (loaded.terms, loaded.sources, loaded.kb, loaded.read_faults);
@@ -723,7 +725,7 @@ fn augment(
 
 fn stats(facts_path: &str, out: &mut dyn Write) -> Result<(), CliError> {
     let mut terms = Interner::new();
-    let sources = facts_io::read_facts(BufReader::new(File::open(facts_path)?), &mut terms)?;
+    let (sources, _) = facts_io::load_facts(facts_path, &mut terms, facts_io::Ingest::Strict, 1)?;
     let stats = DatasetStats::compute(sources.iter().flat_map(|s| {
         let url = s.url.as_str();
         s.facts.iter().map(move |&f| (f, url))
@@ -806,12 +808,13 @@ fn eval(
     // Gold labels are interned *after* the corpus: entities present in the
     // facts resolve to their corpus symbols either way, so matching is
     // unaffected, and the snapshot stays a pure function of facts + kb.
-    let loaded = snapshot_cache::load_inputs_cached(
+    let loaded = snapshot_cache::load_inputs(
         facts_path,
         kb_path,
         limits.lenient,
         cache.dir,
         cache.max_bytes,
+        threads,
     )?;
     let (mut terms, sources, kb, read_faults) =
         (loaded.terms, loaded.sources, loaded.kb, loaded.read_faults);
@@ -1101,6 +1104,39 @@ mod tests {
                 .any(|l| l.starts_with("# quarantined 1 source(s)")),
             "csv output:\n{text}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lenient_discover_quarantines_a_non_utf8_line() {
+        let dir = tmpdir("lenient_utf8");
+        let facts = dir.join("facts.tsv");
+        let mut bytes = Vec::new();
+        for i in 0..50 {
+            bytes.extend_from_slice(format!("http://a.com/p{i}\te{i}\tp\tv\n").as_bytes());
+        }
+        bytes.extend_from_slice(b"http://a.com/p0\te\xff\tp\tv\n");
+        bytes.extend_from_slice(b"http://a.com/p1\te51\tq\tw\n");
+        std::fs::write(&facts, bytes).unwrap();
+        let facts_s = facts.to_str().unwrap();
+
+        // Strict mode names the line instead of failing the whole read.
+        let mut out = Vec::new();
+        let err = run(&argv(&format!("discover --facts {facts_s}")), &mut out).unwrap_err();
+        assert_eq!(err.to_string(), "data error: line 51: invalid UTF-8");
+
+        // Lenient mode quarantines that one line and reports the rest.
+        let mut out = Vec::new();
+        run(
+            &argv(&format!("discover --facts {facts_s} --lenient")),
+            &mut out,
+        )
+        .unwrap();
+        let text = String::from_utf8_lossy(&out);
+        assert!(text.contains("Discovered web source slices"));
+        assert!(text.contains("quarantined 1 source(s)"), "output:\n{text}");
+        assert!(text.contains(&format!("{facts_s}:51")), "output:\n{text}");
+        assert!(text.contains("invalid UTF-8"), "output:\n{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

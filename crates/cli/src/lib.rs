@@ -30,6 +30,8 @@ pub mod cache_dir;
 pub mod checkpoint;
 pub mod commands;
 pub mod facts_io;
+#[cfg(test)]
+mod ingest_oracle;
 pub mod snapshot_cache;
 
 pub use args::{CliError, Command, ParsedArgs};

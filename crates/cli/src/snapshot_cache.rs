@@ -27,13 +27,13 @@
 
 use crate::args::CliError;
 use crate::cache_dir::CacheDir;
-use crate::facts_io;
+use crate::facts_io::{self, Ingest};
 use midas_core::telemetry;
 use midas_core::{
     faultinject, snapshot, CostModel, DiscoveredSlice, FactTable, SourceFacts, SourceFault,
 };
 use midas_extract::CacheKey;
-use midas_kb::{Interner, KnowledgeBase};
+use midas_kb::{Interner, KnowledgeBase, Mmap};
 use midas_weburl::SourceUrl;
 use std::collections::BTreeMap;
 
@@ -230,8 +230,11 @@ fn quarantine_entry(cache: &CacheDir, name: &str, reason: &str, notes: &mut Vec<
     }
 }
 
-/// Loads facts + kb, going through the snapshot cache when `cache_dir` is
-/// set and the run is strict (no lenient ingestion, no armed fault plan).
+/// Loads facts + kb on one thread: [`load_inputs`] at `threads = 1`.
+///
+/// Kept only because the benchmark's traced replay (`perfbench/tracer`)
+/// compiles against this signature; it goes when ROADMAP item 3 retires
+/// the replay.
 pub fn load_inputs_cached(
     facts_path: &str,
     kb_path: Option<&str>,
@@ -239,36 +242,48 @@ pub fn load_inputs_cached(
     cache_dir: Option<&str>,
     max_bytes: Option<u64>,
 ) -> Result<LoadedInputs, CliError> {
+    load_inputs(facts_path, kb_path, lenient, cache_dir, max_bytes, 1)
+}
+
+/// Loads facts + kb, going through the snapshot cache when `cache_dir` is
+/// set and the run is strict (no lenient ingestion, no armed fault plan).
+/// Parsing runs on `threads` pool workers (see [`facts_io`]); the result
+/// is the same at every thread count.
+///
+/// The files are parsed one at a time — facts, then kb — and each file's
+/// bytes are released before the next is read, so a cold load never holds
+/// both inputs and every parsed chunk at once. This is the one entry point
+/// the CLI uses; [`load_inputs_cached`], [`facts_io::read_facts`] and
+/// [`facts_io::read_kb`] are one-thread wrappers over the same path, kept
+/// for the benchmark's traced replay until ROADMAP item 3 retires it.
+pub fn load_inputs(
+    facts_path: &str,
+    kb_path: Option<&str>,
+    lenient: bool,
+    cache_dir: Option<&str>,
+    max_bytes: Option<u64>,
+    threads: usize,
+) -> Result<LoadedInputs, CliError> {
+    let cold = |notes| load_cold(facts_path, kb_path, lenient, threads, notes);
     let Some(dir) = cache_dir else {
-        return load_cold(facts_path, kb_path, lenient, Vec::new());
+        return cold(Vec::new());
     };
     if lenient {
         metrics::BYPASSES.inc();
-        return load_cold(
-            facts_path,
-            kb_path,
-            lenient,
-            vec!["snapshot cache bypassed: --lenient runs are not cacheable".to_owned()],
-        );
+        return cold(vec![
+            "snapshot cache bypassed: --lenient runs are not cacheable".to_owned(),
+        ]);
     }
     if faultinject::armed() {
         metrics::BYPASSES.inc();
-        return load_cold(
-            facts_path,
-            kb_path,
-            lenient,
-            vec!["snapshot cache bypassed: fault-injection plan armed".to_owned()],
-        );
+        return cold(vec![
+            "snapshot cache bypassed: fault-injection plan armed".to_owned()
+        ]);
     }
     let cache = match CacheDir::open(dir) {
         Ok(cache) => cache,
         Err(e) => {
-            return load_cold(
-                facts_path,
-                kb_path,
-                lenient,
-                vec![format!("snapshot cache unavailable ({dir}): {e}")],
-            );
+            return cold(vec![format!("snapshot cache unavailable ({dir}): {e}")]);
         }
     };
     let mut notes = Vec::new();
@@ -287,14 +302,13 @@ pub fn load_inputs_cached(
         }
     }
 
-    let facts_bytes = std::fs::read(facts_path)?;
-    let kb_bytes = match kb_path {
-        Some(p) => std::fs::read(p)?,
-        None => Vec::new(),
-    };
+    // The key hashes the mapped files in place; on a miss the same
+    // mappings are parsed, so the snapshot holds exactly the hashed bytes.
+    let facts_bytes = facts_io::map_input(facts_path)?;
+    let kb_bytes = kb_path.map(facts_io::map_input).transpose()?;
     let key = CacheKey::new()
-        .part("facts", &facts_bytes)
-        .part("kb", &kb_bytes)
+        .part("facts", facts_bytes.as_bytes())
+        .part("kb", kb_bytes.as_ref().map_or(&[], Mmap::as_bytes))
         .part("config", b"strict")
         .finish();
     let name = snapshot_name(key);
@@ -351,11 +365,12 @@ pub fn load_inputs_cached(
     // tables feed straight into the run, so the build is not extra work.
     metrics::MISSES.inc();
     let mut terms = Interner::new();
-    let sources = facts_io::read_facts(&facts_bytes[..], &mut terms)?;
-    let kb = if kb_bytes.is_empty() {
-        KnowledgeBase::new()
-    } else {
-        facts_io::read_kb(&kb_bytes[..], &mut terms)?
+    let (sources, _) =
+        facts_io::parse_facts(facts_bytes.as_bytes(), &mut terms, Ingest::Strict, threads)?;
+    drop(facts_bytes);
+    let kb = match kb_bytes {
+        Some(bytes) => facts_io::parse_kb(bytes.as_bytes(), &mut terms, threads)?,
+        None => KnowledgeBase::new(),
     };
     let tables: Vec<FactTable> = sources.iter().map(|s| FactTable::build(s, &kb)).collect();
     {
@@ -398,17 +413,18 @@ fn load_cold(
     facts_path: &str,
     kb_path: Option<&str>,
     lenient: bool,
+    threads: usize,
     notes: Vec<String>,
 ) -> Result<LoadedInputs, CliError> {
     let mut terms = Interner::new();
-    let reader = std::io::BufReader::new(std::fs::File::open(facts_path)?);
-    let (sources, read_faults) = if lenient {
-        facts_io::read_facts_lenient(reader, &mut terms, facts_path)?
+    let ingest = if lenient {
+        Ingest::Lenient { file: facts_path }
     } else {
-        (facts_io::read_facts(reader, &mut terms)?, Vec::new())
+        Ingest::Strict
     };
+    let (sources, read_faults) = facts_io::load_facts(facts_path, &mut terms, ingest, threads)?;
     let kb = match kb_path {
-        Some(p) => facts_io::read_kb(std::io::BufReader::new(std::fs::File::open(p)?), &mut terms)?,
+        Some(p) => facts_io::load_kb(p, &mut terms, threads)?,
         None => KnowledgeBase::new(),
     };
     Ok(LoadedInputs {
@@ -452,7 +468,7 @@ mod tests {
     }
 
     fn load(facts: &str, kb: &str, lenient: bool, cache: &str) -> LoadedInputs {
-        load_inputs_cached(facts, Some(kb), lenient, Some(cache), None).unwrap()
+        load_inputs(facts, Some(kb), lenient, Some(cache), None, 1).unwrap()
     }
 
     #[test]
@@ -617,7 +633,7 @@ mod tests {
 
         // Cap of 1 byte: writing the second snapshot must evict the first
         // (LRU) while keeping the entry the run just produced.
-        let capped = load_inputs_cached(&facts, Some(&kb), false, Some(cache_s), Some(1)).unwrap();
+        let capped = load_inputs(&facts, Some(&kb), false, Some(cache_s), Some(1), 1).unwrap();
         assert!(
             capped.notes.iter().any(|n| n.contains("evicted")),
             "{:?}",

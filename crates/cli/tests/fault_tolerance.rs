@@ -95,10 +95,11 @@ fn three_fault_run_is_bit_identical_to_clean_seventeen_source_run() {
         // framework quarantines the panic and budget victims.
         faultinject::install(plan.clone());
         let mut terms = Interner::new();
-        let (sources, read_faults) = facts_io::read_facts_lenient(
-            BufReader::new(corpus_tsv(false).as_bytes()),
+        let (sources, read_faults) = facts_io::parse_facts(
+            corpus_tsv(false).as_bytes(),
             &mut terms,
-            "facts.tsv",
+            facts_io::Ingest::Lenient { file: "facts.tsv" },
+            threads,
         )
         .unwrap();
         assert_eq!(sources.len(), 19, "parse victim dropped at read time");

@@ -24,8 +24,9 @@ struct Corpus {
 }
 
 impl Corpus {
-    fn kvault() -> Corpus {
-        let dir = std::env::temp_dir().join(format!("midas_threads_{}", std::process::id()));
+    fn kvault(scale: &str) -> Corpus {
+        let dir =
+            std::env::temp_dir().join(format!("midas_threads_{}_{scale}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let out = midas(&dir)
@@ -34,7 +35,7 @@ impl Corpus {
                 "--dataset",
                 "kvault",
                 "--scale",
-                "0.1",
+                scale,
                 "--seed",
                 "3",
             ])
@@ -71,7 +72,7 @@ impl Drop for Corpus {
 
 #[test]
 fn two_threads_do_the_work_of_one() {
-    let corpus = Corpus::kvault();
+    let corpus = Corpus::kvault("0.1");
     let (out1, m1) = corpus.discover("1");
     let (out2, m2) = corpus.discover("2");
     assert!(
@@ -88,4 +89,26 @@ fn two_threads_do_the_work_of_one() {
             "{name} at --threads 1 vs 2"
         );
     }
+}
+
+/// The parse runs on the pool too: on an input of several chunks, four
+/// threads must print the report one thread prints and issue the same
+/// pool tasks (chunking depends only on the bytes).
+#[test]
+fn several_chunk_input_parses_the_same_at_one_and_four_threads() {
+    let corpus = Corpus::kvault("1");
+    for file in ["facts.tsv", "kb.tsv"] {
+        let len = std::fs::metadata(corpus.dir.join(file)).unwrap().len();
+        assert!(
+            len > midas_kb::tokenize::CHUNK_BYTES as u64,
+            "{file} ({len} bytes) must span several parse chunks"
+        );
+    }
+    let (out1, m1) = corpus.discover("1");
+    let (out4, m4) = corpus.discover("4");
+    assert!(
+        out1 == out4,
+        "reports differ between --threads 1 and --threads 4"
+    );
+    assert_eq!(m1.counter("pool.tasks"), m4.counter("pool.tasks"));
 }

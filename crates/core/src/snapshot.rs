@@ -82,13 +82,27 @@ pub fn save_corpus(
     kb: &KnowledgeBase,
     tables: &[FactTable],
 ) -> io::Result<()> {
+    let kb_facts: Vec<Fact> = kb.iter().collect();
+    write_corpus(path, cache_key, terms, sources, &kb_facts, tables)
+}
+
+/// [`save_corpus`] with the KB section given as a raw column (SPO order
+/// when it comes from a [`KnowledgeBase`]; tests pass hostile orders).
+fn write_corpus(
+    path: &Path,
+    cache_key: u64,
+    terms: &Interner,
+    sources: &[SourceFacts],
+    kb_facts: &[Fact],
+    tables: &[FactTable],
+) -> io::Result<()> {
     assert_eq!(sources.len(), tables.len(), "one prebuilt table per source");
     let mut b = SnapshotBuilder::new(cache_key);
 
     let mut w = b.section(TAG_META);
     w.put_u32(sources.len() as u32);
     w.put_u32(terms.len() as u32);
-    w.put_u64(kb.len() as u64);
+    w.put_u64(kb_facts.len() as u64);
 
     let mut w = b.section(TAG_STRINGS);
     for (_, s) in terms.iter() {
@@ -109,8 +123,7 @@ pub fn save_corpus(
     }
 
     let mut w = b.section(TAG_KB);
-    let kb_facts: Vec<Fact> = kb.iter().collect();
-    w.put_column::<Fact>(&kb_facts);
+    w.put_column::<Fact>(kb_facts);
 
     let mut w = b.section(TAG_TABLES);
     for t in tables {
@@ -177,11 +190,11 @@ pub fn load_corpus(path: &Path, expected_key: u64) -> Result<Corpus, SnapshotErr
     // sync lazily on the first post-load intern. Runs that only resolve
     // symbols never index the table at all.
     let mut r = snap.section(TAG_STRINGS)?;
-    let mut dump: Vec<Box<str>> = Vec::with_capacity(n_strings);
+    let mut dump: Vec<&str> = Vec::with_capacity(n_strings);
     for _ in 0..n_strings {
-        dump.push(r.get_str_ref("interner string")?.into());
+        dump.push(r.get_str_ref("interner string")?);
     }
-    let terms = Interner::from_dump(dump);
+    let terms = Interner::from_dump(&dump);
     r.expect_end("strings")?;
     let in_range = |sym: Symbol| -> bool { sym.index() < n_strings };
 
@@ -224,13 +237,18 @@ pub fn load_corpus(path: &Path, expected_key: u64) -> Result<Corpus, SnapshotErr
 
     let mut r = snap.section(TAG_KB)?;
     let kb_facts: Column<Fact> = r.get_column(kb_len, "kb facts")?;
-    let mut kb = KnowledgeBase::new();
-    for &f in &kb_facts {
-        if !(in_range(f.subject) && in_range(f.predicate) && in_range(f.object)) {
-            return Err(corrupt("kb fact symbol out of range"));
-        }
-        kb.insert(f);
+    // The writer emits the KB in strictly increasing SPO order; anything
+    // else (shuffled, duplicated) is damage, not a different KB.
+    if !kb_facts.windows(2).all(|w| w[0] < w[1]) {
+        return Err(corrupt("kb facts not in strictly increasing order"));
     }
+    if !kb_facts
+        .iter()
+        .all(|f| in_range(f.subject) && in_range(f.predicate) && in_range(f.object))
+    {
+        return Err(corrupt("kb fact symbol out of range"));
+    }
+    let kb = KnowledgeBase::from_facts(&kb_facts);
     r.expect_end("kb")?;
 
     let mut r = snap.section(TAG_TABLES)?;
@@ -256,14 +274,13 @@ pub fn load_corpus(path: &Path, expected_key: u64) -> Result<Corpus, SnapshotErr
         {
             return Err(corrupt(format!("table for {} inconsistent", src.url)));
         }
-        let mut props: Vec<(Symbol, Symbol)> = Vec::with_capacity(n_props);
-        for _ in 0..n_props {
-            let pair: Column<Symbol> = r.get_column(2, "property pair")?;
-            if !(in_range(pair[0]) && in_range(pair[1])) {
-                return Err(corrupt("property symbol out of range"));
-            }
-            props.push((pair[0], pair[1]));
+        // The writer stores each pair as its own two-symbol column; they
+        // sit back to back, so one column read covers them all.
+        let pairs: Column<Symbol> = r.get_column(2 * n_props, "property pairs")?;
+        if !pairs.iter().all(|&sym| in_range(sym)) {
+            return Err(corrupt("property symbol out of range"));
         }
+        let props: Vec<(Symbol, Symbol)> = pairs.chunks_exact(2).map(|p| (p[0], p[1])).collect();
         let universe = n as u32;
         let mut extents: Vec<ExtentSet> = Vec::with_capacity(n_props);
         for _ in 0..n_props {
@@ -509,6 +526,35 @@ mod tests {
         let err = load_corpus(&path, 1).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, SnapshotError::Corrupt(_)));
+    }
+
+    #[test]
+    fn kb_section_out_of_order_fails_closed() {
+        // Checksum-valid files whose KB column the writer would never
+        // emit: shuffled, and with a repeated fact. Both must be typed
+        // corruption, not a silently rebuilt KB.
+        let (terms, sources, kb, tables) = sample_corpus();
+        let sorted: Vec<Fact> = kb.iter().collect();
+        assert!(sorted.len() >= 2, "fixture KB has facts to reorder");
+        let mut shuffled = sorted.clone();
+        shuffled.reverse();
+        let mut duplicated = sorted.clone();
+        duplicated.insert(1, sorted[0]);
+        for (name, column) in [("kb-shuffled", shuffled), ("kb-duplicated", duplicated)] {
+            let path = tmp(name);
+            write_corpus(&path, 9, &terms, &sources, &column, &tables).unwrap();
+            let err = load_corpus(&path, 9).unwrap_err();
+            std::fs::remove_file(&path).ok();
+            assert!(
+                matches!(&err, SnapshotError::Corrupt(m) if m.contains("strictly increasing")),
+                "{name}: {err}"
+            );
+        }
+        let path = tmp("kb-sorted");
+        write_corpus(&path, 9, &terms, &sources, &sorted, &tables).unwrap();
+        let corpus = load_corpus(&path, 9).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(corpus.kb.iter().collect::<Vec<_>>(), sorted);
     }
 
     #[test]

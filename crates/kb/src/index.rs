@@ -38,6 +38,27 @@ impl TripleIndex {
         Self::default()
     }
 
+    /// Builds the index from `facts` in bulk: each permutation is sorted
+    /// once and its tree built bottom-up (`BTreeSet`'s `FromIterator`), with
+    /// densely packed nodes, instead of by one insert per fact. Duplicates
+    /// collapse; the input order does not matter.
+    pub fn from_facts(facts: &[Fact]) -> Self {
+        TripleIndex {
+            spo: facts
+                .iter()
+                .map(|f| (f.subject, f.predicate, f.object))
+                .collect(),
+            pos: facts
+                .iter()
+                .map(|f| (f.predicate, f.object, f.subject))
+                .collect(),
+            osp: facts
+                .iter()
+                .map(|f| (f.object, f.subject, f.predicate))
+                .collect(),
+        }
+    }
+
     /// Inserts a fact; returns `true` if it was not present before.
     pub fn insert(&mut self, f: Fact) -> bool {
         let fresh = self.spo.insert((f.subject, f.predicate, f.object));

@@ -6,8 +6,9 @@
 //! integers instead of heap strings, which is what makes the slice-hierarchy
 //! construction of MIDASalg cheap enough to run over millions of facts.
 
-use crate::fnv::FnvHashMap;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A compact handle to an interned string.
@@ -49,14 +50,15 @@ impl fmt::Display for Symbol {
 /// Interning requires `&mut self`; resolving is `&self` and returns a
 /// borrowed `&str`. For cross-thread use wrap it in a [`SharedInterner`].
 ///
-/// The lookup table maps the 64-bit FNV-1a hash of a string to its symbol
-/// instead of keying on an owned copy of the string. Each distinct term is
-/// therefore heap-allocated exactly once (in `strings`), which matters on
-/// the snapshot warm path where a six-figure term table is re-interned in
-/// one burst. Distinct strings that collide on the full 64-bit hash are
-/// parked in `overflow` and found by linear scan — with FNV-1a over short
-/// terms that list stays empty in practice, but correctness never depends
-/// on that.
+/// Strings live back to back in one arena (`text`), so interning a new
+/// term appends bytes instead of allocating, and a six-figure term table
+/// costs one buffer rather than one heap block per term. The lookup table
+/// maps the 64-bit [`term_hash`] of a string to its symbol instead of
+/// keying on an owned copy of the string. Distinct strings that collide on
+/// the full 64-bit hash are parked in `overflow` and found by linear scan
+/// — that list stays empty in practice, but correctness never depends on
+/// it. A caller that already hashed a term (a parse worker building its
+/// chunk dictionary) hands the hash over with [`Interner::intern_hashed`].
 ///
 /// The lookup table is also *lazy*: [`Interner::from_dump`] installs a
 /// pre-deduplicated string table without indexing it, and the map is
@@ -67,18 +69,71 @@ impl fmt::Display for Symbol {
 /// on first use.
 #[derive(Debug, Default)]
 pub struct Interner {
-    map: FnvHashMap<u64, Symbol>,
+    map: HashMap<u64, Symbol, BuildHasherDefault<PreHashed>>,
     overflow: Vec<Symbol>,
-    strings: Vec<Box<str>>,
-    /// How many of `strings` are indexed in `map`/`overflow`.
+    /// Every interned string, back to back, in symbol order.
+    text: String,
+    /// `ends[i]` is where string `i` ends in `text`; it starts where string
+    /// `i - 1` ends.
+    ends: Vec<usize>,
+    /// How many strings are indexed in `map`/`overflow`.
     synced: usize,
 }
 
-fn hash_str(s: &str) -> u64 {
-    use std::hash::Hasher;
-    let mut h = crate::fnv::FnvHasher::default();
-    h.write(s.as_bytes());
-    h.finish()
+/// The interner's 64-bit string hash: eight bytes per multiply round, then
+/// a full avalanche, so its low bits (the bucket) and high bits (the
+/// control byte) are both usable as they come. Deterministic across runs
+/// and platforms.
+pub fn term_hash(s: &str) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let bytes = s.as_bytes();
+    let mut h = (bytes.len() as u64).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(w);
+        h = (h ^ u64::from_le_bytes(word))
+            .wrapping_mul(K)
+            .rotate_left(31);
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        h = (h ^ u64::from_le_bytes(word))
+            .wrapping_mul(K)
+            .rotate_left(31);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// A `Hasher` for keys that already are [`term_hash`] values: it passes
+/// the one `u64` it is fed through unchanged.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `write_u64` is expected; fold anything else in FNV-style so
+        // the hasher stays correct if used for another key type.
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
 }
 
 impl Interner {
@@ -90,92 +145,99 @@ impl Interner {
     /// Creates an interner with capacity for `n` distinct strings.
     pub fn with_capacity(n: usize) -> Self {
         Interner {
-            map: FnvHashMap::with_capacity_and_hasher(n, Default::default()),
-            overflow: Vec::new(),
-            strings: Vec::with_capacity(n),
-            synced: 0,
+            map: HashMap::with_capacity_and_hasher(n, Default::default()),
+            ends: Vec::with_capacity(n),
+            ..Self::default()
         }
     }
 
     /// Adopts a dump of distinct strings, assigning symbol `i` to the
-    /// `i`-th string — the inverse of [`Interner::iter`]. The lookup map is
-    /// *not* built here; it is synced lazily by the first `intern` call.
+    /// `i`-th string — the inverse of [`Interner::iter`]. The strings are
+    /// copied into the arena in one pass; the lookup map is *not* built
+    /// here, it is synced lazily by the first `intern` call.
     ///
     /// The caller asserts the strings are distinct (snapshot dumps are, by
     /// construction: they are written from an interner). Duplicates are
     /// caught by a `debug_assert` when the map eventually syncs; in release
     /// builds a duplicate would resolve correctly but re-intern to the
     /// first occurrence.
-    pub fn from_dump(strings: Vec<Box<str>>) -> Self {
-        Interner {
-            map: FnvHashMap::default(),
-            overflow: Vec::new(),
-            strings,
-            synced: 0,
+    pub fn from_dump(strings: &[&str]) -> Self {
+        let mut text = String::with_capacity(strings.iter().map(|s| s.len()).sum());
+        let mut ends = Vec::with_capacity(strings.len());
+        for s in strings {
+            text.push_str(s);
+            ends.push(text.len());
         }
+        Interner {
+            text,
+            ends,
+            ..Self::default()
+        }
+    }
+
+    fn string(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
     }
 
     /// Indexes any strings appended since the last sync (no-op when the
     /// map is current).
     fn sync(&mut self) {
-        if self.synced == self.strings.len() {
+        if self.synced == self.ends.len() {
             return;
         }
-        self.map.reserve(self.strings.len() - self.synced);
-        for i in self.synced..self.strings.len() {
+        self.map.reserve(self.ends.len() - self.synced);
+        for i in self.synced..self.ends.len() {
             let sym = Symbol::from_index(i);
-            let h = hash_str(&self.strings[i]);
-            match self.map.entry(h) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    debug_assert_ne!(
-                        &*self.strings[e.get().index()],
-                        &*self.strings[i],
-                        "duplicate string in interner dump at index {i}"
-                    );
-                    self.overflow.push(sym);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(sym);
-                }
+            let h = term_hash(self.string(i));
+            if let Some(&first) = self.map.get(&h) {
+                debug_assert_ne!(
+                    self.string(first.index()),
+                    self.string(i),
+                    "duplicate string in interner dump at index {i}"
+                );
+                self.overflow.push(sym);
+            } else {
+                self.map.insert(h, sym);
             }
         }
-        self.synced = self.strings.len();
+        self.synced = self.ends.len();
     }
 
     /// Interns `s`, returning its (stable) symbol.
     pub fn intern(&mut self, s: &str) -> Symbol {
+        self.intern_hashed(s, term_hash(s))
+    }
+
+    /// Interns `s` whose [`term_hash`] the caller already computed.
+    pub fn intern_hashed(&mut self, s: &str, h: u64) -> Symbol {
+        debug_assert_eq!(h, term_hash(s), "stale hash for {s:?}");
         self.sync();
-        let h = hash_str(s);
-        match self.map.entry(h) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let first = *e.get();
-                if &*self.strings[first.index()] == s {
-                    return first;
-                }
-                if let Some(sym) = self.find_in_overflow(s) {
-                    return sym;
-                }
-                let sym = Symbol::from_index(self.strings.len());
-                self.strings.push(s.into());
-                self.overflow.push(sym);
-                self.synced = self.strings.len();
-                sym
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let sym = Symbol::from_index(self.strings.len());
-                self.strings.push(s.into());
-                e.insert(sym);
-                self.synced = self.strings.len();
-                sym
-            }
+        let collided = match self.map.get(&h) {
+            Some(&first) if self.string(first.index()) == s => return first,
+            Some(_) => match self.find_in_overflow(s) {
+                Some(sym) => return sym,
+                None => true,
+            },
+            None => false,
+        };
+        let sym = Symbol::from_index(self.ends.len());
+        self.text.push_str(s);
+        self.ends.push(self.text.len());
+        if collided {
+            self.overflow.push(sym);
+        } else {
+            self.map.insert(h, sym);
         }
+        self.synced = self.ends.len();
+        sym
     }
 
     fn find_in_overflow(&self, s: &str) -> Option<Symbol> {
         self.overflow
             .iter()
             .copied()
-            .find(|sym| &*self.strings[sym.index()] == s)
+            .find(|sym| self.string(sym.index()) == s)
     }
 
     /// Returns the symbol for `s` if it was interned before.
@@ -185,15 +247,14 @@ impl Interner {
     pub fn get(&self, s: &str) -> Option<Symbol> {
         let mapped = self
             .map
-            .get(&hash_str(s))
+            .get(&term_hash(s))
             .copied()
-            .filter(|sym| &*self.strings[sym.index()] == s)
+            .filter(|sym| self.string(sym.index()) == s)
             .or_else(|| self.find_in_overflow(s));
         mapped.or_else(|| {
-            self.strings[self.synced..]
-                .iter()
-                .position(|t| &**t == s)
-                .map(|i| Symbol::from_index(self.synced + i))
+            (self.synced..self.ends.len())
+                .find(|&i| self.string(i) == s)
+                .map(Symbol::from_index)
         })
     }
 
@@ -202,25 +263,22 @@ impl Interner {
     /// # Panics
     /// Panics if `sym` was not produced by this interner.
     pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.strings[sym.index()]
+        self.string(sym.index())
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
     /// Whether nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterates over `(Symbol, &str)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
-        self.strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (Symbol::from_index(i), s.as_ref()))
+        (0..self.ends.len()).map(|i| (Symbol::from_index(i), self.string(i)))
     }
 }
 
@@ -323,6 +381,30 @@ mod tests {
         assert_eq!(c.index(), 1);
         assert_eq!(b.index(), 2);
         assert!(a < c && c < b, "symbol order is insertion order");
+    }
+
+    #[test]
+    fn term_hash_separates_zero_padded_tails() {
+        // The last partial word is zero-padded; the length seed keeps a
+        // trailing NUL from hashing like its absence.
+        assert_ne!(term_hash("a"), term_hash("a\0"));
+        assert_ne!(term_hash(""), term_hash("\0"));
+        assert_ne!(term_hash("abcdefgh"), term_hash("abcdefgh\0"));
+        let mut i = Interner::new();
+        let (a, a0) = (i.intern("a"), i.intern("a\0"));
+        assert_ne!(a, a0);
+        assert_eq!(i.resolve(a0), "a\0");
+    }
+
+    #[test]
+    fn from_dump_resolves_and_reinterns_lazily() {
+        let mut i = Interner::from_dump(&["x", "", "ünï ✓"]);
+        assert_eq!(i.len(), 3);
+        assert_eq!(i.resolve(Symbol::from_index(2)), "ünï ✓");
+        assert_eq!(i.get(""), Some(Symbol::from_index(1)), "unsynced lookup");
+        assert_eq!(i.intern("x"), Symbol::from_index(0));
+        assert_eq!(i.intern("new"), Symbol::from_index(3));
+        assert_eq!(i.intern_hashed("y", term_hash("y")), Symbol::from_index(4));
     }
 
     #[test]

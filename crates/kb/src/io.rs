@@ -10,13 +10,26 @@
 //!   N-Triples to interoperate with simple tooling, without pulling in an
 //!   RDF dependency.
 //!
-//! Both readers intern terms into a caller-supplied [`Interner`], skip blank
-//! lines and `#` comments, and report malformed lines with their line number.
+//! Both readers take the whole input as bytes and walk it with the shared
+//! line layer ([`crate::tokenize::Lines`]): blank lines and `#` comments
+//! are skipped, and a malformed line — a non-UTF-8 one included — is
+//! reported as [`KbError::Parse`] with its line number. Terms are interned
+//! into a caller-supplied [`Interner`] in first-occurrence order.
+//!
+//! The TSV reader is chunked: [`parse_tsv_chunk`] parses one line-aligned
+//! chunk into a chunk-local dictionary and id triples, touching no shared
+//! state, and [`TsvMerge`] folds chunks in order into facts. [`read_tsv`]
+//! runs the two back to back on one thread; the CLI runs the parse on its
+//! worker pool and merges the same way, so both produce the same symbols.
+//! A field is unescaped only when it holds a backslash; every other term
+//! borrows from the input until it is interned.
 
 use crate::error::KbError;
 use crate::fact::Fact;
 use crate::interner::Interner;
-use std::io::{BufRead, Write};
+use crate::tokenize::{self, Dict, Lines};
+use std::borrow::Cow;
+use std::io::{Read, Write};
 
 fn escape_tsv(term: &str, out: &mut String) {
     // A subject beginning with '#' would read back as a comment line.
@@ -39,7 +52,12 @@ fn escape_tsv_rest(term: &str, out: &mut String) {
     }
 }
 
-fn unescape_tsv(field: &str, line: usize) -> Result<String, KbError> {
+/// Unescapes one TSV field. Only fields that hold a `\` are rewritten;
+/// the rest borrow from the input.
+fn unescape_tsv(field: &str) -> Result<Cow<'_, str>, String> {
+    if !field.contains('\\') {
+        return Ok(Cow::Borrowed(field));
+    }
     let mut out = String::with_capacity(field.len());
     let mut chars = field.chars();
     while let Some(c) = chars.next() {
@@ -53,14 +71,14 @@ fn unescape_tsv(field: &str, line: usize) -> Result<String, KbError> {
             Some('n') => out.push('\n'),
             Some('#') => out.push('#'),
             other => {
-                return Err(KbError::Parse {
-                    line,
-                    message: format!("invalid escape sequence \\{}", other.unwrap_or(' ')),
-                })
+                return Err(format!(
+                    "invalid escape sequence \\{}",
+                    other.unwrap_or(' ')
+                ))
             }
         }
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 /// Writes facts as TSV lines.
@@ -83,32 +101,103 @@ pub fn write_tsv<W: Write>(
     Ok(())
 }
 
-/// Reads TSV facts, interning terms into `terms`.
-pub fn read_tsv<R: BufRead>(r: R, terms: &mut Interner) -> Result<Vec<Fact>, KbError> {
-    let mut out = Vec::new();
-    for (i, line) in r.lines().enumerate() {
-        let lineno = i + 1;
-        let line = line?;
-        let trimmed = line.trim_end_matches('\r');
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let mut fields = trimmed.split('\t');
-        let (s, p, o) = match (fields.next(), fields.next(), fields.next(), fields.next()) {
-            (Some(s), Some(p), Some(o), None) => (s, p, o),
-            _ => {
-                return Err(KbError::Parse {
-                    line: lineno,
-                    message: "expected exactly three tab-separated fields".into(),
-                })
+/// One parsed chunk of a TSV triple file: its dictionary, its records as
+/// chunk-local id triples, and the first malformed line, if any.
+#[derive(Debug)]
+pub struct TsvChunk<'a> {
+    dict: Dict<'a>,
+    triples: Vec<[u32; 3]>,
+    /// Lines in the chunk (data, blank and comment).
+    lines: usize,
+    /// The first malformed line: chunk-relative number and message.
+    fault: Option<(usize, String)>,
+}
+
+/// Parses one line-aligned chunk of a TSV triple file (see
+/// [`tokenize::chunks`]). Parsing stops at the chunk's first malformed
+/// line, which [`TsvMerge::push`] reports.
+pub fn parse_tsv_chunk(chunk: &[u8]) -> TsvChunk<'_> {
+    let mut dict = Dict::default();
+    let mut triples = Vec::new();
+    let mut lines = Lines::new(chunk);
+    let mut fault = None;
+    for (number, text) in lines.by_ref() {
+        match parse_tsv_line(text, &mut dict) {
+            Ok(triple) => triples.push(triple),
+            Err(message) => {
+                fault = Some((number, message));
+                break;
             }
-        };
-        let s = unescape_tsv(s, lineno)?;
-        let p = unescape_tsv(p, lineno)?;
-        let o = unescape_tsv(o, lineno)?;
-        out.push(Fact::intern(terms, &s, &p, &o));
+        }
     }
-    Ok(out)
+    TsvChunk {
+        dict,
+        triples,
+        lines: lines.consumed(),
+        fault,
+    }
+}
+
+fn parse_tsv_line<'a>(
+    text: Result<&'a str, tokenize::InvalidUtf8>,
+    dict: &mut Dict<'a>,
+) -> Result<[u32; 3], String> {
+    let text = text.map_err(|e| e.to_string())?;
+    let mut fields = text.split('\t');
+    let (s, p, o) = match (fields.next(), fields.next(), fields.next(), fields.next()) {
+        (Some(s), Some(p), Some(o), None) => (s, p, o),
+        _ => return Err("expected exactly three tab-separated fields".into()),
+    };
+    let (s, p, o) = (unescape_tsv(s)?, unescape_tsv(p)?, unescape_tsv(o)?);
+    Ok([dict.id(s), dict.id(p), dict.id(o)])
+}
+
+/// Folds parsed TSV chunks, in file order, into facts.
+#[derive(Debug, Default)]
+pub struct TsvMerge {
+    facts: Vec<Fact>,
+    lines: usize,
+}
+
+impl TsvMerge {
+    /// Merges the next chunk: interns its dictionary and appends its facts.
+    /// A malformed line fails the merge with its file line number; since
+    /// chunks arrive in order, that is the file's first malformed line.
+    pub fn push(&mut self, chunk: TsvChunk<'_>, terms: &mut Interner) -> Result<(), KbError> {
+        if let Some((line, message)) = chunk.fault {
+            return Err(KbError::Parse {
+                line: self.lines + line,
+                message,
+            });
+        }
+        self.lines += chunk.lines;
+        let symbols = chunk.dict.intern_into(terms);
+        self.facts.extend(chunk.triples.iter().map(|&[s, p, o]| {
+            Fact::new(
+                symbols[s as usize],
+                symbols[p as usize],
+                symbols[o as usize],
+            )
+        }));
+        Ok(())
+    }
+
+    /// The merged facts, in file order (duplicates kept).
+    pub fn finish(self) -> Vec<Fact> {
+        self.facts
+    }
+}
+
+/// Reads TSV facts, interning terms into `terms`. Facts come back in file
+/// order, duplicates kept.
+pub fn read_tsv<R: Read>(mut r: R, terms: &mut Interner) -> Result<Vec<Fact>, KbError> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    let mut merge = TsvMerge::default();
+    for chunk in tokenize::chunks(&bytes, tokenize::CHUNK_BYTES) {
+        merge.push(parse_tsv_chunk(chunk), terms)?;
+    }
+    Ok(merge.finish())
 }
 
 fn escape_nt(term: &str, out: &mut String) {
@@ -180,42 +269,38 @@ pub fn write_ntriples<W: Write>(
 }
 
 /// Reads N-Triples-like facts, interning terms into `terms`.
-pub fn read_ntriples<R: BufRead>(r: R, terms: &mut Interner) -> Result<Vec<Fact>, KbError> {
+pub fn read_ntriples<R: Read>(mut r: R, terms: &mut Interner) -> Result<Vec<Fact>, KbError> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
     let mut out = Vec::new();
-    for (i, line) in r.lines().enumerate() {
-        let lineno = i + 1;
-        let line = line?;
-        let trimmed = line.trim();
+    for (lineno, text) in Lines::new(&bytes) {
+        let parse_error = |message: &str| KbError::Parse {
+            line: lineno,
+            message: message.into(),
+        };
+        let trimmed = text.map_err(|e| parse_error(&e.to_string()))?.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
         let body = trimmed
             .strip_suffix('.')
             .map(str::trim_end)
-            .ok_or_else(|| KbError::Parse {
-                line: lineno,
-                message: "missing terminating '.'".into(),
-            })?;
+            .ok_or_else(|| parse_error("missing terminating '.'"))?;
         let mut fields = Vec::with_capacity(3);
         let mut rest = body;
         for _ in 0..3 {
             rest = rest.trim_start();
-            let inner = rest.strip_prefix('<').ok_or_else(|| KbError::Parse {
-                line: lineno,
-                message: "expected '<'-delimited term".into(),
-            })?;
-            let end = inner.find('>').ok_or_else(|| KbError::Parse {
-                line: lineno,
-                message: "unterminated term (no '>')".into(),
-            })?;
+            let inner = rest
+                .strip_prefix('<')
+                .ok_or_else(|| parse_error("expected '<'-delimited term"))?;
+            let end = inner
+                .find('>')
+                .ok_or_else(|| parse_error("unterminated term (no '>')"))?;
             fields.push(&inner[..end]);
             rest = &inner[end + 1..];
         }
         if !rest.trim().is_empty() {
-            return Err(KbError::Parse {
-                line: lineno,
-                message: "trailing content after object term".into(),
-            });
+            return Err(parse_error("trailing content after object term"));
         }
         let s = unescape_nt(fields[0], lineno)?;
         let p = unescape_nt(fields[1], lineno)?;
@@ -285,6 +370,53 @@ mod tests {
         let mut terms = Interner::new();
         let err = read_tsv(&input[..], &mut terms).unwrap_err();
         assert!(matches!(err, KbError::Parse { line: 1, .. }));
+    }
+
+    #[test]
+    fn tsv_reports_invalid_utf8_with_its_line() {
+        let input = b"a\tp\t1\n# ok\nb\t\xff\t2\n";
+        let mut terms = Interner::new();
+        match read_tsv(&input[..], &mut terms).unwrap_err() {
+            KbError::Parse { line, message } => {
+                assert_eq!(line, 3);
+                assert_eq!(message, "invalid UTF-8");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        let input = b"<a> <b> <c> .\n<\xfe> <b> <c> .\n";
+        assert!(matches!(
+            read_ntriples(&input[..], &mut terms),
+            Err(KbError::Parse { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn tsv_chunks_merge_to_the_whole_file_read() {
+        let input = b"a\tp\t1\r\n\\#x\tp\\tq\t1\n\nb\tp\t2";
+        let mut whole = Interner::new();
+        let expected = read_tsv(&input[..], &mut whole).unwrap();
+        for target in [1, 5, 64] {
+            let mut terms = Interner::new();
+            let mut merge = TsvMerge::default();
+            for chunk in tokenize::chunks(input, target) {
+                merge.push(parse_tsv_chunk(chunk), &mut terms).unwrap();
+            }
+            assert_eq!(merge.finish(), expected, "chunk target {target}");
+            assert!(terms.iter().eq(whole.iter()), "chunk target {target}");
+        }
+        assert_eq!(whole.resolve(expected[1].subject), "#x");
+        assert_eq!(whole.resolve(expected[1].predicate), "p\tq");
+        let mut merge = TsvMerge::default();
+        let mut terms = Interner::new();
+        let mut chunks = tokenize::chunks(b"a\tb\tc\nbad line\n", 1).into_iter();
+        merge
+            .push(parse_tsv_chunk(chunks.next().unwrap()), &mut terms)
+            .unwrap();
+        let err = merge.push(parse_tsv_chunk(chunks.next().unwrap()), &mut terms);
+        assert!(
+            matches!(err, Err(KbError::Parse { line: 2, .. })),
+            "line numbers continue across chunks: {err:?}"
+        );
     }
 
     #[test]

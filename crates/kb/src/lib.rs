@@ -47,6 +47,7 @@ pub mod query;
 pub mod snapshot;
 pub mod stats;
 pub mod store;
+pub mod tokenize;
 
 pub use column::{Column, Pod};
 pub use error::KbError;

@@ -23,6 +23,14 @@ impl KnowledgeBase {
         Self::default()
     }
 
+    /// Builds a knowledge base from `facts` in bulk (see
+    /// [`TripleIndex::from_facts`]). Duplicates collapse.
+    pub fn from_facts(facts: &[Fact]) -> Self {
+        KnowledgeBase {
+            index: TripleIndex::from_facts(facts),
+        }
+    }
+
     /// Inserts a fact; returns `true` if it was new.
     pub fn insert(&mut self, f: Fact) -> bool {
         self.index.insert(f)
@@ -105,9 +113,8 @@ impl KnowledgeBase {
 
 impl FromIterator<Fact> for KnowledgeBase {
     fn from_iter<I: IntoIterator<Item = Fact>>(iter: I) -> Self {
-        let mut kb = KnowledgeBase::new();
-        kb.extend(iter);
-        kb
+        let facts: Vec<Fact> = iter.into_iter().collect();
+        KnowledgeBase::from_facts(&facts)
     }
 }
 
@@ -145,6 +152,39 @@ mod tests {
         let kb = KnowledgeBase::new();
         assert!(kb.is_empty());
         assert!(kb.is_new(&f));
+    }
+
+    #[test]
+    fn bulk_build_matches_inserts() {
+        let mut t = Interner::new();
+        let facts: Vec<Fact> = (0..40)
+            .map(|i| {
+                Fact::intern(
+                    &mut t,
+                    &format!("s{}", (i * 7) % 13),
+                    &format!("p{}", i % 3),
+                    &format!("o{}", (i * 5) % 11),
+                )
+            })
+            .collect();
+        let mut inserted = KnowledgeBase::new();
+        for &f in facts.iter().rev() {
+            inserted.insert(f);
+        }
+        let bulk = KnowledgeBase::from_facts(&facts);
+        assert_eq!(bulk.len(), inserted.len());
+        assert!(bulk.iter().eq(inserted.iter()));
+        for &f in &facts {
+            assert!(bulk.contains(&f));
+            assert!(bulk
+                .index()
+                .facts_for_predicate(f.predicate)
+                .eq(inserted.index().facts_for_predicate(f.predicate)));
+            assert!(bulk
+                .index()
+                .facts_for_object(f.object)
+                .eq(inserted.index().facts_for_object(f.object)));
+        }
     }
 
     #[test]
