@@ -67,15 +67,15 @@ impl fmt::Display for Symbol {
 /// for hashing and inserting hundreds of thousands of terms it will not
 /// look up; runs that do intern afterwards (gold labels in eval) pay once,
 /// on first use.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Interner {
     map: HashMap<u64, Symbol, BuildHasherDefault<PreHashed>>,
     overflow: Vec<Symbol>,
     /// Every interned string, back to back, in symbol order.
     text: String,
-    /// `ends[i]` is where string `i` ends in `text`; it starts where string
-    /// `i - 1` ends.
-    ends: Vec<usize>,
+    /// String `i` is `text[bounds[i]..bounds[i + 1]]`; `bounds[0]` is 0,
+    /// so there is one more bound than there are strings.
+    bounds: Vec<usize>,
     /// How many strings are indexed in `map`/`overflow`.
     synced: usize,
 }
@@ -98,11 +98,11 @@ pub fn term_hash(s: &str) -> u64 {
     }
     let tail = words.remainder();
     if !tail.is_empty() {
-        let mut word = [0u8; 8];
-        word[..tail.len()].copy_from_slice(tail);
-        h = (h ^ u64::from_le_bytes(word))
-            .wrapping_mul(K)
-            .rotate_left(31);
+        let word = tail
+            .iter()
+            .rev()
+            .fold(0u64, |w, &b| (w << 8) | u64::from(b));
+        h = (h ^ word).wrapping_mul(K).rotate_left(31);
     }
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
@@ -136,6 +136,18 @@ impl Hasher for PreHashed {
     }
 }
 
+impl Default for Interner {
+    fn default() -> Self {
+        Interner {
+            map: HashMap::default(),
+            overflow: Vec::new(),
+            text: String::new(),
+            bounds: vec![0],
+            synced: 0,
+        }
+    }
+}
+
 impl Interner {
     /// Creates an empty interner.
     pub fn new() -> Self {
@@ -144,9 +156,11 @@ impl Interner {
 
     /// Creates an interner with capacity for `n` distinct strings.
     pub fn with_capacity(n: usize) -> Self {
+        let mut bounds = Vec::with_capacity(n + 1);
+        bounds.push(0);
         Interner {
             map: HashMap::with_capacity_and_hasher(n, Default::default()),
-            ends: Vec::with_capacity(n),
+            bounds,
             ..Self::default()
         }
     }
@@ -163,31 +177,32 @@ impl Interner {
     /// first occurrence.
     pub fn from_dump(strings: &[&str]) -> Self {
         let mut text = String::with_capacity(strings.iter().map(|s| s.len()).sum());
-        let mut ends = Vec::with_capacity(strings.len());
+        let mut bounds = Vec::with_capacity(strings.len() + 1);
+        bounds.push(0);
         for s in strings {
             text.push_str(s);
-            ends.push(text.len());
+            bounds.push(text.len());
         }
         Interner {
             text,
-            ends,
+            bounds,
             ..Self::default()
         }
     }
 
+    #[inline]
     fn string(&self, i: usize) -> &str {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.text[start..self.ends[i]]
+        &self.text[self.bounds[i]..self.bounds[i + 1]]
     }
 
     /// Indexes any strings appended since the last sync (no-op when the
     /// map is current).
     fn sync(&mut self) {
-        if self.synced == self.ends.len() {
+        if self.synced == self.len() {
             return;
         }
-        self.map.reserve(self.ends.len() - self.synced);
-        for i in self.synced..self.ends.len() {
+        self.map.reserve(self.len() - self.synced);
+        for i in self.synced..self.len() {
             let sym = Symbol::from_index(i);
             let h = term_hash(self.string(i));
             if let Some(&first) = self.map.get(&h) {
@@ -201,7 +216,7 @@ impl Interner {
                 self.map.insert(h, sym);
             }
         }
-        self.synced = self.ends.len();
+        self.synced = self.len();
     }
 
     /// Interns `s`, returning its (stable) symbol.
@@ -221,15 +236,15 @@ impl Interner {
             },
             None => false,
         };
-        let sym = Symbol::from_index(self.ends.len());
+        let sym = Symbol::from_index(self.len());
         self.text.push_str(s);
-        self.ends.push(self.text.len());
+        self.bounds.push(self.text.len());
         if collided {
             self.overflow.push(sym);
         } else {
             self.map.insert(h, sym);
         }
-        self.synced = self.ends.len();
+        self.synced = self.len();
         sym
     }
 
@@ -252,7 +267,7 @@ impl Interner {
             .filter(|sym| self.string(sym.index()) == s)
             .or_else(|| self.find_in_overflow(s));
         mapped.or_else(|| {
-            (self.synced..self.ends.len())
+            (self.synced..self.len())
                 .find(|&i| self.string(i) == s)
                 .map(Symbol::from_index)
         })
@@ -262,23 +277,24 @@ impl Interner {
     ///
     /// # Panics
     /// Panics if `sym` was not produced by this interner.
+    #[inline]
     pub fn resolve(&self, sym: Symbol) -> &str {
         self.string(sym.index())
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.bounds.len() - 1
     }
 
     /// Whether nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over `(Symbol, &str)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
-        (0..self.ends.len()).map(|i| (Symbol::from_index(i), self.string(i)))
+        (0..self.len()).map(|i| (Symbol::from_index(i), self.string(i)))
     }
 }
 
@@ -354,7 +370,8 @@ mod tests {
 
     #[test]
     fn intern_is_idempotent() {
-        let mut i = Interner::new();
+        let mut i = Interner::with_capacity(4);
+        assert!(i.is_empty());
         let a = i.intern("NASA");
         let b = i.intern("NASA");
         assert_eq!(a, b);
