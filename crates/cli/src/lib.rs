@@ -39,10 +39,6 @@ pub use args::{CliError, Command, ParsedArgs};
 /// Entry point shared by the binary and the tests: parses `argv` (without
 /// the program name) and runs the command, writing to `out`.
 pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError> {
-    // Pin the kernel table here, on the main thread: a bad MIDAS_KERNEL
-    // value must be a startup error, not a panic inside a fault-isolated
-    // detection worker (where it would quarantine every source instead).
-    midas_core::extent::kernels::try_active().map_err(CliError::Usage)?;
     let parsed = ParsedArgs::parse(argv)?;
     commands::dispatch(parsed, out)
 }

@@ -280,6 +280,27 @@ fn resume_after_crash_is_bit_identical_to_uninterrupted_run() {
         "corpus must sustain at least 4 rounds for the crash to land mid-loop: {reference}"
     );
 
+    // With the clock pinned, the checkpoint itself reproduces: two fresh
+    // caches end up holding byte-identical `.ckpt` files.
+    let checkpoints: Vec<Vec<u8>> = ["fresh_a", "fresh_b"]
+        .into_iter()
+        .map(|cache| {
+            let args = with_cache(&AUGMENT, cache);
+            let argv: Vec<&str> = args.iter().map(String::as_str).collect();
+            run_ok(&f.dir, &argv, &fixed);
+            let name = f
+                .cache_files(cache)
+                .into_iter()
+                .find(|n| n.ends_with(".ckpt"))
+                .expect("augment --snapshot-cache writes a checkpoint");
+            std::fs::read(f.dir.join(cache).join(name)).unwrap()
+        })
+        .collect();
+    assert!(
+        checkpoints[0] == checkpoints[1],
+        "two identical fixed-timing runs wrote different checkpoints"
+    );
+
     // Kill at the commit of round 2's checkpoint: rounds 1-2 are durable,
     // rounds 3-4 were never run.
     let args = with_cache(&AUGMENT, "cache");

@@ -600,7 +600,7 @@ pub mod kernels;
 /// Marks every member of every set into `bits` (a `u64`-block bitmap over
 /// the sets' shared universe) — the batched multi-way form of
 /// [`ExtentSet::mark_into`]. Dense sets are grouped and fed to the
-/// dispatched [`kernels::union_into`] kernel in bounded batches, so the
+/// [`kernels::union_into`] kernel in bounded batches, so the
 /// bitmap is read and written once per group instead of once per set;
 /// sparse sets fall back to per-entity bit sets.
 pub fn union_mark_into(sets: &[&ExtentSet], bits: &mut [u64]) {

@@ -431,7 +431,7 @@ impl SliceHierarchy {
                 0.0
             } else {
                 // Batched multi-way union into a pooled bitmap through the
-                // dispatched kernels instead of merging sorted vectors
+                // block kernels instead of merging sorted vectors
                 // pairwise or marking one extent at a time — dense SLB
                 // extents are OR'd in register-resident groups, and the
                 // bitmap is recycled across nodes, levels, and shards.

@@ -26,6 +26,7 @@
 //! this crate's tests and in the `space_programs` example of the workspace
 //! root.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod budget;

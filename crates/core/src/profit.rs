@@ -79,7 +79,7 @@ impl<'a> ProfitCtx<'a> {
     /// `f(S)` for a set of `k` slices given the extents whose union covers
     /// `S`'s entities — the batched multi-way form of [`Self::profit_set`].
     /// The union bitmap is built in one pass over a scratch bitmap through
-    /// the dispatched multi-way union kernel instead of `k` pairwise
+    /// the multi-way union kernel instead of `k` pairwise
     /// passes; the counts (and thus the profit) are bit-identical to
     /// folding the extents one by one, because the union bits are the
     /// same bits whichever way they were OR'd together.

@@ -198,7 +198,8 @@ pub struct AugmentationRound {
     pub round: usize,
     /// The accepted top suggestion, if any positive-profit slice remained.
     pub accepted: Option<AugmentationStep>,
-    /// Wall-clock time of the incremental `suggest`.
+    /// Wall-clock time of the incremental `suggest` (zero under
+    /// `MIDAS_FIXED_TIMING`).
     pub suggest_time: Duration,
     /// Number of suggestions the round produced.
     pub suggestions: usize,
@@ -249,9 +250,11 @@ pub fn continue_augmentation(
     for round in start_round..=max_rounds {
         metrics::AUG_ROUNDS.inc();
         let suggest_span = telemetry::span("augment.suggest", &metrics::SUGGEST_NS);
-        let start = Instant::now();
+        // The clock reads 0 under MIDAS_FIXED_TIMING, so the time a
+        // checkpoint records is reproducible there.
+        let start = telemetry::clock_ns();
         let report = aug.suggest_report();
-        let suggest_time = start.elapsed();
+        let suggest_time = Duration::from_nanos(telemetry::clock_ns() - start);
         drop(suggest_span);
         let best = report.slices.iter().find(|s| s.profit > 0.0).cloned();
         let accepted = best.as_ref().map(|b| aug.accept(b));

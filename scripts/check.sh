@@ -15,18 +15,6 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo doc (-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
-# Kernel dispatch lane: the differential suite plus both report-equivalence
-# suites under each MIDAS_KERNEL setting — swapping the kernel table must
-# never change a report byte.
-echo "== kernel dispatch (MIDAS_KERNEL=scalar and =auto) =="
-for kernel in scalar auto; do
-    echo "-- MIDAS_KERNEL=$kernel --"
-    MIDAS_KERNEL="$kernel" cargo test -q --offline -p midas-core kernels
-    MIDAS_KERNEL="$kernel" cargo test -q --offline --test kernel_differential
-    MIDAS_KERNEL="$kernel" cargo test -q --offline --test streaming_equivalence
-    MIDAS_KERNEL="$kernel" cargo test -q --offline --test incremental_equivalence
-done
-
 # Telemetry lane: a live metrics registry and span trace sink must never
 # change a report byte. Both equivalence suites re-run with telemetry
 # forced on and every span mirrored to a JSONL file, which must then parse
