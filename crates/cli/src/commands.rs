@@ -22,6 +22,11 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 
+/// Span histograms of the augmentation loop's CLI-side work.
+mod metrics {
+    midas_core::histogram!(pub CHECKPOINT_NS, "augment.checkpoint_ns");
+}
+
 /// Runs a parsed command, writing human output to `out`.
 ///
 /// Telemetry is strictly additive: when `--metrics-json`/`--verbose-stats`
@@ -583,16 +588,27 @@ fn augment_with_checkpoints(
         // each new round appends only its own encoding before the atomic
         // save, so checkpoint writes stay O(1) per round.
         let mut log = checkpoint::RoundLog::from_rounds(terms, &trace);
+        // The manifest row is written after the first committed round and
+        // again after the loop, not every round: `.ckpt` files are never
+        // eviction candidates and eviction never reads the `bytes` column,
+        // so a per-round rewrite (two fsyncs each) would buy nothing.
+        let mut listed = false;
         let continued = {
             let trace_so_far = &mut trace;
             let errors = &mut ckpt_errors;
             let log = &mut log;
+            let listed = &mut listed;
             continue_augmentation(&mut aug, start_round, rounds, |r| {
+                let _span = telemetry::span("augment.checkpoint", &metrics::CHECKPOINT_NS);
                 trace_so_far.push(r.clone());
                 log.append(terms, r);
                 let saved = session.dir.exclusive().and_then(|_write| {
                     log.save(&path, key)?;
-                    session.dir.touch(&name)
+                    if !*listed {
+                        session.dir.touch(&name)?;
+                        *listed = true;
+                    }
+                    Ok(())
                 });
                 if let Err(e) = saved {
                     errors.push(format!("checkpoint write failed: {e}"));
@@ -600,6 +616,15 @@ fn augment_with_checkpoints(
             })
         };
         drop(continued); // rounds were accumulated via the callback
+        if listed {
+            let touched = session
+                .dir
+                .exclusive()
+                .and_then(|_write| session.dir.touch(&name));
+            if let Err(e) = touched {
+                ckpt_errors.push(format!("checkpoint write failed: {e}"));
+            }
+        }
         notes.extend(ckpt_errors);
     }
     Ok((trace, aug))

@@ -17,15 +17,16 @@
 //! bit-identical to a from-scratch rebuild ([`Augmenter::suggest_fresh`])
 //! at every round.
 //!
-//! `accept` reads the facts of the sources in the slice's URL scope, then
-//! projects the insertions through a [`SubjectIndex`] (built by the first
-//! accept, then kept): each inserted fact is checked only against the
-//! sources that hold its subject, not against every source of the corpus.
+//! `accept` reads the facts of the sources in the slice's URL scope, found
+//! as one range of the corpus sorted by URL, then projects the insertions
+//! through a [`SubjectIndex`]: each inserted fact is checked only against
+//! the sources that hold its subject. Both indexes are built by the first
+//! accept and kept, so an accept never walks the whole corpus.
 
 use std::sync::Arc;
 
 use crate::config::MidasConfig;
-use crate::framework::{Framework, FrameworkReport, KbDelta, RoundCache, SubjectIndex};
+use crate::framework::{subtree, Framework, FrameworkReport, KbDelta, RoundCache, SubjectIndex};
 use crate::single_source::MidasAlg;
 use crate::slice::DiscoveredSlice;
 use crate::source::SourceFacts;
@@ -54,10 +55,32 @@ pub struct Augmenter {
     /// Insertions accepted since the last `suggest`, projected onto the
     /// corpus; drained into `run_incremental` as the invalidation key.
     delta: KbDelta,
-    /// The corpus's subject → source index the projection runs through,
-    /// built by the first `accept` (a loop that never accepts, such as a
-    /// zero-round run, never pays for it).
-    index: Option<SubjectIndex>,
+    /// The corpus indexes `accept` runs through, built by the first
+    /// `accept` (a loop that never accepts, such as a zero-round run, never
+    /// pays for them).
+    index: Option<CorpusIndex>,
+}
+
+/// The lookups `Augmenter::accept` makes into the corpus.
+#[derive(Debug)]
+struct CorpusIndex {
+    /// Subject → sources: the projection of the insertions.
+    subjects: SubjectIndex,
+    /// Source positions sorted by URL: the slice's scope.
+    by_url: Vec<u32>,
+}
+
+impl CorpusIndex {
+    fn new(sources: &[SourceFacts]) -> Self {
+        let mut by_url: Vec<u32> = (0..sources.len())
+            .map(|p| u32::try_from(p).expect("corpus positions fit in u32"))
+            .collect();
+        by_url.sort_by(|&a, &b| sources[a as usize].url.cmp(&sources[b as usize].url));
+        CorpusIndex {
+            subjects: SubjectIndex::new(sources),
+            by_url,
+        }
+    }
 }
 
 impl Augmenter {
@@ -167,21 +190,22 @@ impl Augmenter {
             sorted_storage.sort_unstable();
             &sorted_storage
         };
+        let index = self
+            .index
+            .get_or_insert_with(|| CorpusIndex::new(&self.sources));
+        // Corpus order, so the knowledge base sees the insertions in the
+        // order a walk over every source would make them.
+        let mut scope: Vec<usize> = subtree(&self.sources, &index.by_url, &slice.source).collect();
+        scope.sort_unstable();
         let mut inserted: Vec<Fact> = Vec::new();
-        for src in self.sources.iter() {
-            if !slice.source.contains(&src.url) {
-                continue;
-            }
-            for f in &src.facts {
+        for p in scope {
+            for f in &self.sources[p].facts {
                 if entities.binary_search(&f.subject).is_ok() && self.kb.insert(*f) {
                     inserted.push(*f);
                 }
             }
         }
-        let index = self
-            .index
-            .get_or_insert_with(|| SubjectIndex::new(&self.sources));
-        self.delta.record(index, &self.sources, &inserted);
+        self.delta.record(&index.subjects, &self.sources, &inserted);
         let step = AugmentationStep {
             slice: slice.clone(),
             facts_added: inserted.len(),

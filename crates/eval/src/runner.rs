@@ -19,6 +19,7 @@ mod metrics {
     midas_core::counter!(pub AUG_ACCEPTS, "eval.augment.accepts");
     midas_core::histogram!(pub RUN_NS, "eval.run_ns");
     midas_core::histogram!(pub SUGGEST_NS, "eval.augment.suggest_ns");
+    midas_core::histogram!(pub ACCEPT_NS, "eval.augment.accept_ns");
 }
 
 use midas_core::DiscoveredSlice;
@@ -257,7 +258,10 @@ pub fn continue_augmentation(
         let suggest_time = Duration::from_nanos(telemetry::clock_ns() - start);
         drop(suggest_span);
         let best = report.slices.iter().find(|s| s.profit > 0.0).cloned();
-        let accepted = best.as_ref().map(|b| aug.accept(b));
+        let accepted = best.as_ref().map(|b| {
+            let _span = telemetry::span("augment.accept", &metrics::ACCEPT_NS);
+            aug.accept(b)
+        });
         if accepted.is_some() {
             metrics::AUG_ACCEPTS.inc();
         }

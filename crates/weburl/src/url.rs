@@ -101,6 +101,11 @@ impl SourceUrl {
         }
     }
 
+    /// The canonical string of [`SourceUrl::domain`], borrowed.
+    pub fn domain_str(&self) -> &str {
+        &self.canonical[..self.host_end]
+    }
+
     /// The host name (lowercased).
     pub fn host(&self) -> &str {
         let after_scheme = self.canonical.find("://").expect("canonical has scheme") + 3;

@@ -9,7 +9,9 @@
 # After the criterion benches it gates, in order: peak RSS under a stream
 # window, warm augmentation rounds against a rebuild, telemetry overhead,
 # snapshot-cache warm vs cold, metrics drift, fault-injection quarantine,
-# and resume-vs-rerun bit-identity.
+# and resume-vs-rerun bit-identity. A failing gate does not stop the run:
+# every gate runs, each failure is printed when it happens and again in a
+# summary at the end, and the script then exits non-zero.
 #
 # Entirely offline: the workspace builds with `--offline` against `std`
 # and the in-repo shims in crates/shims (rand, proptest, criterion); no
@@ -31,6 +33,13 @@ esac
 
 rm -f "$OUT"
 export MIDAS_BENCH_JSON="$OUT"
+
+# Failed gates, in order; reported together at the end.
+FAILED=()
+gate_failed() {
+    echo "$1" >&2
+    FAILED+=("$1")
+}
 export MIDAS_BENCH_SAMPLES="$SAMPLES"
 
 for bench in hierarchy_build profit_eval interning; do
@@ -51,10 +60,10 @@ rss_of() { printf '%s' "$1" | sed -n 's/.*"peak_rss_kb":\([0-9]*\).*/\1/p'; }
 W_KB="$(rss_of "$WINDOWED")"
 U_KB="$(rss_of "$UNBOUNDED")"
 if [ "$W_KB" -ge "$U_KB" ]; then
-    echo "peak-RSS smoke FAILED: window 8 ($W_KB KiB) not below unbounded ($U_KB KiB)" >&2
-    exit 1
+    gate_failed "peak-RSS smoke FAILED: window 8 ($W_KB KiB) not below unbounded ($U_KB KiB)"
+else
+    echo "peak-RSS smoke OK: window 8 = $W_KB KiB < unbounded = $U_KB KiB"
 fi
-echo "peak-RSS smoke OK: window 8 = $W_KB KiB < unbounded = $U_KB KiB"
 
 # Incremental augmentation loop: every warm round replays the clean
 # subtrees from the round cache AND patches the dirty leaves' retained
@@ -73,10 +82,10 @@ FRESH_MS="$(ms_of rebuild)"
 RATIO="$(printf '%s\n' "$AUGMENT" | grep warm_total \
     | sed -n 's/.*"warm_over_rebuild":\([0-9]*\)\..*/\1/p')"
 if [ -z "$RATIO" ] || [ "$RATIO" -lt 12 ]; then
-    echo "augmentation smoke FAILED: warm path only ${RATIO:-?}x over rebuild (need >= 12x)" >&2
-    exit 1
+    gate_failed "augmentation smoke FAILED: warm path only ${RATIO:-?}x over rebuild (need >= 12x)"
+else
+    echo "augmentation smoke OK: warm = $WARM_MS ms, rebuild = $FRESH_MS ms; ${RATIO}x over rebuild"
 fi
-echo "augmentation smoke OK: warm = $WARM_MS ms, rebuild = $FRESH_MS ms; ${RATIO}x over rebuild"
 
 # Telemetry overhead gate: with the metrics registry live (counters, span
 # histograms, per-round reconciliation snapshots) the augmentation loop's
@@ -107,10 +116,10 @@ for rep in 1 2 3; do
 done
 ALLOWED=$((BEST_OFF + BEST_OFF * 3 / 100 + 50))
 if [ "$BEST_ON" -gt "$ALLOWED" ]; then
-    echo "telemetry smoke FAILED: enabled rebuild ($BEST_ON ms) above disabled ($BEST_OFF ms) + 3% + 50 ms" >&2
-    exit 1
+    gate_failed "telemetry smoke FAILED: enabled rebuild ($BEST_ON ms) above disabled ($BEST_OFF ms) + 3% + 50 ms"
+else
+    echo "telemetry smoke OK: enabled = $BEST_ON ms <= disabled = $BEST_OFF ms + 3% + 50 ms; report at $METRICS_OUT"
 fi
-echo "telemetry smoke OK: enabled = $BEST_ON ms <= disabled = $BEST_OFF ms + 3% + 50 ms; report at $METRICS_OUT"
 
 # Snapshot-cache cold vs warm: a warm `--snapshot-cache` run must reach
 # its first detection round at least 5x faster than cold extraction on the
@@ -123,17 +132,19 @@ COLDWARM="$(./target/release/snapshot_coldwarm --entities 250 --threads 4)"
 printf '%s\n' "$COLDWARM" | tee -a "$OUT"
 SPEEDUP="$(printf '%s' "$COLDWARM" | sed -n 's/.*"speedup":\([0-9]*\)\..*/\1/p')"
 if [ "$SPEEDUP" -lt 5 ]; then
-    echo "snapshot smoke FAILED: warm run only ${SPEEDUP}x faster than cold (need >= 5x)" >&2
-    exit 1
+    gate_failed "snapshot smoke FAILED: warm run only ${SPEEDUP}x faster than cold (need >= 5x)"
+else
+    echo "snapshot smoke OK: warm run ${SPEEDUP}x faster than cold"
 fi
-echo "snapshot smoke OK: warm run ${SPEEDUP}x faster than cold"
 
 # Counter drift: compare this run's report against the newest tracked
 # METRICS_PR<N>.json. Work counters are machine-independent, so drift
 # beyond the threshold means a code path genuinely changed how much it does.
 echo
 echo "== metrics_compare.py =="
-python3 scripts/metrics_compare.py --current "$METRICS_OUT"
+if ! python3 scripts/metrics_compare.py --current "$METRICS_OUT"; then
+    gate_failed "metrics drift FAILED: counters moved against the tracked baseline"
+fi
 
 echo
 echo "== $OUT =="
@@ -152,10 +163,10 @@ FAULTED="$(MIDAS_FAULTINJECT='panic@#0,budget@#1' cargo run --offline -q -p mida
     --lenient --threads 4 --top 5)"
 printf '%s\n' "$FAULTED" | tail -n 6
 if ! printf '%s\n' "$FAULTED" | grep -q "quarantined 2 source(s)"; then
-    echo "fault-injection smoke FAILED: expected 2 quarantined sources" >&2
-    exit 1
+    gate_failed "fault-injection smoke FAILED: expected 2 quarantined sources"
+else
+    echo "fault-injection smoke OK"
 fi
-echo "fault-injection smoke OK"
 
 # Resume-vs-rerun bit-identity: kill the augmentation loop at the commit
 # of its second round checkpoint, `--resume`, and require the resumed
@@ -167,28 +178,40 @@ cargo build --offline -q -p midas-cli
 MIDAS_BIN="./target/debug/midas"
 strip_notes() { grep -v -e '^snapshot cache' -e '^slice cache' -e '^resume' "$1" > "$2"; }
 AUG_ARGS=(augment --facts "$SMOKE_DIR/facts.tsv" --kb "$SMOKE_DIR/kb.tsv" --rounds 4 --threads 2)
-MIDAS_FIXED_TIMING=1 "$MIDAS_BIN" "${AUG_ARGS[@]}" > "$SMOKE_DIR/rerun.txt"
-set +e
-MIDAS_FIXED_TIMING=1 MIDAS_CRASHPOINT='ckpt.renamed@2' \
-    "$MIDAS_BIN" "${AUG_ARGS[@]}" --snapshot-cache "$SMOKE_DIR/cache" \
-    > /dev/null 2> "$SMOKE_DIR/crash.err"
-CRASH_STATUS=$?
-set -e
-if [ "$CRASH_STATUS" -eq 0 ] || ! grep -q 'crashpoint: aborting' "$SMOKE_DIR/crash.err"; then
-    echo "resume smoke FAILED: crashpoint did not fire (status $CRASH_STATUS)" >&2
+# One gate of several steps: a failed step skips the rest of the gate.
+resume_gate() {
+    MIDAS_FIXED_TIMING=1 "$MIDAS_BIN" "${AUG_ARGS[@]}" > "$SMOKE_DIR/rerun.txt"
+    set +e
+    MIDAS_FIXED_TIMING=1 MIDAS_CRASHPOINT='ckpt.renamed@2' \
+        "$MIDAS_BIN" "${AUG_ARGS[@]}" --snapshot-cache "$SMOKE_DIR/cache" \
+        > /dev/null 2> "$SMOKE_DIR/crash.err"
+    local crash_status=$?
+    set -e
+    if [ "$crash_status" -eq 0 ] || ! grep -q 'crashpoint: aborting' "$SMOKE_DIR/crash.err"; then
+        gate_failed "resume smoke FAILED: crashpoint did not fire (status $crash_status)"
+        return
+    fi
+    MIDAS_FIXED_TIMING=1 "$MIDAS_BIN" "${AUG_ARGS[@]}" \
+        --snapshot-cache "$SMOKE_DIR/cache" --resume > "$SMOKE_DIR/resumed.txt"
+    if ! grep -q 'resume: replayed 2 checkpointed round(s)' "$SMOKE_DIR/resumed.txt"; then
+        gate_failed "resume smoke FAILED: expected 2 replayed rounds"
+        return
+    fi
+    strip_notes "$SMOKE_DIR/rerun.txt" "$SMOKE_DIR/rerun.body"
+    strip_notes "$SMOKE_DIR/resumed.txt" "$SMOKE_DIR/resumed.body"
+    if ! cmp -s "$SMOKE_DIR/rerun.body" "$SMOKE_DIR/resumed.body"; then
+        gate_failed "resume smoke FAILED: resumed output differs from uninterrupted run"
+        diff "$SMOKE_DIR/rerun.body" "$SMOKE_DIR/resumed.body" >&2 || true
+        return
+    fi
+    echo "resume smoke OK: resumed run byte-identical to uninterrupted run"
+}
+resume_gate
+
+echo
+if [ "${#FAILED[@]}" -gt 0 ]; then
+    echo "== ${#FAILED[@]} gate(s) FAILED ==" >&2
+    printf '  %s\n' "${FAILED[@]}" >&2
     exit 1
 fi
-MIDAS_FIXED_TIMING=1 "$MIDAS_BIN" "${AUG_ARGS[@]}" \
-    --snapshot-cache "$SMOKE_DIR/cache" --resume > "$SMOKE_DIR/resumed.txt"
-if ! grep -q 'resume: replayed 2 checkpointed round(s)' "$SMOKE_DIR/resumed.txt"; then
-    echo "resume smoke FAILED: expected 2 replayed rounds" >&2
-    exit 1
-fi
-strip_notes "$SMOKE_DIR/rerun.txt" "$SMOKE_DIR/rerun.body"
-strip_notes "$SMOKE_DIR/resumed.txt" "$SMOKE_DIR/resumed.body"
-if ! cmp -s "$SMOKE_DIR/rerun.body" "$SMOKE_DIR/resumed.body"; then
-    echo "resume smoke FAILED: resumed output differs from uninterrupted run" >&2
-    diff "$SMOKE_DIR/rerun.body" "$SMOKE_DIR/resumed.body" >&2 || true
-    exit 1
-fi
-echo "resume smoke OK: resumed run byte-identical to uninterrupted run"
+echo "== every gate passed =="

@@ -202,9 +202,10 @@ fn baseline_detector_matches_cold_run_on_every_framework_path() {
 
     let mut cache = RoundCache::new();
     let index = SubjectIndex::new(&sources);
+    let shared: std::sync::Arc<[SourceFacts]> = sources.clone().into();
     let mut delta = KbDelta::new();
     for round in 0..3 {
-        let incr = fw.run_incremental(&sources, &kb, &mut cache, &delta);
+        let incr = fw.run_incremental(&shared, &kb, &mut cache, &delta);
         let cold = fw.run(sources.clone(), &kb);
         assert_same(&incr, &cold, &format!("incremental round {round}"));
         if round > 0 {

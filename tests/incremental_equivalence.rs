@@ -136,6 +136,13 @@ fn drive_loop(corpus: &[SourceFacts], threads: usize, window: Option<usize>) -> 
                 "round 0 has no hierarchy to patch"
             );
         } else {
+            // The `detects`/`reused` columns of the augment table: every
+            // task a rebuild runs is either replayed or executed.
+            assert_eq!(
+                incr.reused + incr.detect_calls,
+                fresh.detect_calls,
+                "round {round}: replayed + executed tasks != the rebuild's tasks"
+            );
             assert!(incr.reused > 0, "round {round} replayed nothing");
             assert!(
                 incr.detect_calls < fresh.detect_calls,
