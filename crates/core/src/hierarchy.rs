@@ -14,17 +14,21 @@
 //!    ([`SliceHierarchy::build_seeded`]) minus those with an empty extent.
 //!    These sets, not the entities, are the objects of the closure system:
 //!    multi-valued predicates and the `max_*_per_entity` caps make them
-//!    differ from the entities' property sets.
+//!    differ from the entities' property sets. The capped cross-product is
+//!    the first `n` combinations in mixed-radix order (the first predicate
+//!    most significant), where adding a predicate of `m` values takes `n`
+//!    to `min(n·m, max(1, cap − n))`.
 //! 2. **Enumeration and links.** A walk from the empty set visits every
 //!    closed set `X` with `occ(X)`, the members of `F` containing `X`. Each
 //!    property `m ∉ X` found there has `occ(X ∪ {m}) = {o ∈ occ(X) : m ∈ o}`
-//!    and closure `Y = ⋂ occ(X ∪ {m})`; properties with equal occurrence
-//!    lists share one closure. By Lindig's cover test ("Fast Concept
-//!    Analysis", 2000), `Y` covers `X` (is a minimal closed strict
-//!    superset) iff exactly `|Y \ X|` properties lead to it, i.e. iff no
-//!    other property occurs in every member of the shared list. Covers
-//!    become `X`'s children — the relation the Apriori relinking produced —
-//!    and unseen ones are queued. Every closed set lies on a chain of covers
+//!    and closure `Y = ⋂ occ(X ∪ {m})`; the properties with equal
+//!    occurrence lists form one group and share one closure. By Lindig's
+//!    cover test ("Fast Concept Analysis", 2000), `Y` covers `X` (is a
+//!    minimal closed strict superset) iff `Y = X ∪ group`, i.e. iff
+//!    `|Y| = |X| + |group|`. Covers become `X`'s children — the relation
+//!    the Apriori relinking produced — and unseen ones are queued, except
+//!    those found in a single member: such a set is that member, which has
+//!    no closed strict superset. Every closed set lies on a chain of covers
 //!    from the empty set, so the walk finds them all.
 //! 3. **Ids** follow the order in which the Apriori build created the
 //!    surviving nodes, because the traversal, the `SLB` unions and the
@@ -56,12 +60,14 @@
 use std::cmp::Reverse;
 
 use midas_kb::fnv::{FnvHashMap, FnvHashSet};
+use midas_kb::Symbol;
 
 use crate::config::MidasConfig;
 use crate::extent::ExtentSet;
 use crate::fact_table::{EntityId, FactTable, PropertyId};
 use crate::parallel::par_map;
 use crate::profit::ProfitCtx;
+use crate::telemetry;
 
 /// Construction/patch telemetry: how much evaluation work hierarchies do,
 /// how much of it warm patching avoids, and the extent-memory churn.
@@ -77,6 +83,9 @@ mod metrics {
     crate::counter!(pub EXTENTS_REBUILT, "hierarchy.extents_rebuilt");
     crate::counter!(pub WARM_PATCHES, "hierarchy.warm_patch.applied");
     crate::counter!(pub WARM_REFUSALS, "hierarchy.warm_patch.refused");
+    crate::histogram!(pub SEED_NS, "hierarchy.seed_ns");
+    crate::histogram!(pub ENUMERATE_NS, "hierarchy.enumerate_ns");
+    crate::histogram!(pub EVALUATE_NS, "hierarchy.evaluate_ns");
 }
 
 const KIND_NODES_EVALUATED: usize = 0;
@@ -204,22 +213,30 @@ impl SliceHierarchy {
         config: &MidasConfig,
         seeds: Option<&[Vec<PropertyId>]>,
     ) -> Self {
-        let mut family = Family::default();
-        match seeds {
-            Some(seeds) => {
-                for seed in seeds {
-                    // A seed that matches no entity in this table carries no
-                    // facts; drop it outright.
-                    let extent = table.extent_of(seed);
-                    if !extent.is_empty() {
-                        family.push(seed.clone());
+        let family = {
+            let _span = telemetry::span("hierarchy.seed", &metrics::SEED_NS);
+            let mut family = Family::default();
+            match seeds {
+                Some(seeds) => {
+                    for seed in seeds {
+                        // A seed that matches no entity in this table carries
+                        // no facts; drop it outright.
+                        let extent = table.extent_of(seed);
+                        if !extent.is_empty() {
+                            family.push(seed.iter().copied());
+                        }
+                        extent.recycle();
                     }
-                    extent.recycle();
                 }
+                None => family.seed_from_entities(table, config),
             }
-            None => family.seed_from_entities(table, config),
-        }
-        let mut h = Self::from_family(table, config, family.sets);
+            family.into_sets()
+        };
+        let mut h = {
+            let _span = telemetry::span("hierarchy.enumerate", &metrics::ENUMERATE_NS);
+            Self::from_family(table, config, &family)
+        };
+        let _span = telemetry::span("hierarchy.evaluate", &metrics::EVALUATE_NS);
         h.evaluate(ctx, config);
         h
     }
@@ -262,15 +279,26 @@ impl SliceHierarchy {
     }
 
     /// Consumes the hierarchy once a shard's report is materialized,
-    /// returning every node's extent and link/SLB buffers to the scratch
-    /// pool. Purely an optimisation — dropping the hierarchy is always
-    /// correct.
+    /// returning node extents to the scratch pool while it has room for
+    /// them. Links and `SLB` sets never came from the pool, and the pool
+    /// keeps at most [`crate::scratch::MAX_VECS_PER_KIND`] buffers of a kind,
+    /// so everything else is simply dropped. Purely an optimisation —
+    /// dropping the hierarchy is always correct.
     pub fn recycle(self) {
+        let (mut ids, mut blocks) = crate::scratch::room();
         for node in self.nodes {
-            node.extent.recycle();
-            crate::scratch::put_ids(node.children);
-            crate::scratch::put_ids(node.parents);
-            crate::scratch::put_ids(node.slb_slices);
+            if ids == 0 && blocks == 0 {
+                break;
+            }
+            let room = if node.extent.is_dense() {
+                &mut blocks
+            } else {
+                &mut ids
+            };
+            if *room > 0 {
+                *room -= 1;
+                node.extent.recycle();
+            }
         }
     }
 
@@ -279,37 +307,39 @@ impl SliceHierarchy {
     /// Creates the canonical nodes of `family` in Apriori id order, linked
     /// to their covers (module doc, steps 2 and 3), or only the initial
     /// nodes when the family has more closed sets than the node cap.
-    fn from_family(
-        table: &FactTable,
-        config: &MidasConfig,
-        family: Vec<Box<[PropertyId]>>,
-    ) -> Self {
+    fn from_family(table: &FactTable, config: &MidasConfig, family: &Sets) -> Self {
         let mut h = SliceHierarchy {
             nodes: Vec::new(),
             levels: Vec::new(),
             capped: false,
         };
-        let Some(mut lattice) = closed_sets(&family, config.max_hierarchy_nodes) else {
+        let Some(lattice) = closed_sets(family, config.max_hierarchy_nodes) else {
             h.capped = true;
-            for props in family {
+            h.nodes.reserve_exact(family.len());
+            for props in family.iter() {
                 h.push_node(table, props, true);
             }
             return h;
         };
-        let order = lattice.apriori_order(&family);
+        let order = lattice.apriori_order(family);
         let mut id_of = vec![0 as NodeId; order.len()];
         for (id, &c) in order.iter().enumerate() {
             id_of[c as usize] = id as NodeId;
         }
+        h.nodes.reserve_exact(order.len());
         for &c in &order {
             let c = c as usize;
-            let props = std::mem::take(&mut lattice.props[c]);
+            let props = lattice.props.get(c);
             // Exactly the initial sets are their own smallest initial superset.
-            let initial = props == family[lattice.istar[c] as usize];
+            let initial = props == family.get(lattice.istar[c] as usize);
             let id = h.push_node(table, props, initial);
-            let children = &mut h.nodes[id as usize].children;
-            children.extend(lattice.covers[c].iter().map(|&y| id_of[y as usize]));
+            let mut children: Vec<NodeId> = lattice
+                .covers(c)
+                .iter()
+                .map(|&y| id_of[y as usize])
+                .collect();
             children.sort_unstable();
+            h.nodes[id as usize].children = children;
         }
         for parent in 0..h.nodes.len() {
             for k in 0..h.nodes[parent].children.len() {
@@ -320,7 +350,7 @@ impl SliceHierarchy {
         h
     }
 
-    fn push_node(&mut self, table: &FactTable, props: Box<[PropertyId]>, initial: bool) -> NodeId {
+    fn push_node(&mut self, table: &FactTable, props: &[PropertyId], initial: bool) -> NodeId {
         let level = props.len();
         let id = NodeId::try_from(self.nodes.len()).expect("hierarchy overflow");
         if self.levels.len() <= level {
@@ -328,8 +358,8 @@ impl SliceHierarchy {
         }
         self.levels[level].push(id);
         self.nodes.push(SliceNode {
-            extent: table.extent_of(&props),
-            props,
+            extent: table.extent_of(props),
+            props: props.into(),
             children: Vec::new(),
             parents: Vec::new(),
             is_initial: initial,
@@ -592,79 +622,172 @@ impl SliceHierarchy {
     }
 }
 
+/// Sets of `u32` stored end to end in one buffer.
+#[derive(Default)]
+struct Sets {
+    items: Vec<u32>,
+    /// `ends[i]` is where set `i` ends in `items`.
+    ends: Vec<usize>,
+}
+
+impl Sets {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn get(&self, i: usize) -> &[u32] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.items[start..self.ends[i]]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    fn push(&mut self, set: &[u32]) {
+        self.items.extend_from_slice(set);
+        self.ends.push(self.items.len());
+    }
+}
+
+/// [`Sets`] holding each distinct set once: adding a set already present
+/// allocates nothing.
+#[derive(Default)]
+struct SetIndex {
+    sets: Sets,
+    /// Set index by content hash; sets with equal hashes chain through
+    /// `next`.
+    heads: FnvHashMap<u64, u32>,
+    next: Vec<Option<u32>>,
+}
+
+impl SetIndex {
+    /// The index of `set`, and whether this call added it.
+    fn intern(&mut self, set: &[u32]) -> (u32, bool) {
+        // FNV-1a over whole words.
+        let hash = set.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &x| {
+            (h ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(i) = at {
+            if self.sets.get(i as usize) == set {
+                return (i, false);
+            }
+            at = self.next[i as usize];
+        }
+        let i = u32::try_from(self.sets.len()).expect("set index overflow");
+        self.sets.push(set);
+        self.next.push(self.heads.insert(hash, i));
+        (i, true)
+    }
+}
+
 /// The initial family `F` (module doc, step 1): initial property sets,
 /// deduplicated in seed order.
 #[derive(Default)]
 struct Family {
-    seen: FnvHashSet<Box<[PropertyId]>>,
-    sets: Vec<Box<[PropertyId]>>,
+    sets: SetIndex,
+    /// The sort buffer every candidate set goes through.
+    buf: Vec<PropertyId>,
 }
 
 impl Family {
-    /// Adds one initial property set unless it is empty or a repeat.
-    fn push(&mut self, mut props: Vec<PropertyId>) {
-        props.sort_unstable();
-        props.dedup();
-        if !props.is_empty() && !self.seen.contains(&props[..]) {
-            let props = props.into_boxed_slice();
-            self.seen.insert(props.clone());
-            self.sets.push(props);
+    /// Adds one initial property set unless it is empty or a repeat. Only a
+    /// new set takes memory.
+    fn push(&mut self, props: impl IntoIterator<Item = PropertyId>) {
+        self.buf.clear();
+        self.buf.extend(props);
+        self.buf.sort_unstable();
+        self.buf.dedup();
+        if !self.buf.is_empty() {
+            self.sets.intern(&self.buf);
         }
+    }
+
+    fn into_sets(self) -> Sets {
+        self.sets.sets
     }
 
     /// The initial slices of the entities: for each entity, the
     /// cross-product of one property per predicate (capped).
     fn seed_from_entities(&mut self, table: &FactTable, config: &MidasConfig) {
+        let catalog = table.catalog();
         // Entities sharing a property set generate identical initial combos
         // (the grouping, capping, and cross-product depend only on the set),
-        // so the expansion runs once per distinct set. Real sources hit this
-        // constantly: entities of one schema share one property shape.
+        // so the expansion runs once per distinct set.
         let mut seen_prop_sets: FnvHashSet<&[PropertyId]> = FnvHashSet::default();
+        // Reused across entities: the predicates in first-appearance order,
+        // each one's values in property order, the groups kept, and the
+        // current combination as one digit per kept group.
+        let mut preds: Vec<Symbol> = Vec::new();
+        let mut values: Vec<Vec<PropertyId>> = Vec::new();
+        let mut kept: Vec<usize> = Vec::new();
+        let mut digits: Vec<usize> = Vec::new();
         for e in 0..table.num_entities() as EntityId {
             let props = table.entity_properties(e);
-            if props.is_empty() || !seen_prop_sets.insert(props) {
+            if props.is_empty() {
                 continue;
             }
-            // Group by predicate, preserving per-group value order.
-            let mut groups: Vec<(midas_kb::Symbol, Vec<PropertyId>)> = Vec::new();
+            preds.clear();
             for &pid in props {
-                let (pred, _) = table.catalog().pair(pid);
-                match groups.iter_mut().find(|(g, _)| *g == pred) {
-                    Some((_, v)) => v.push(pid),
-                    None => groups.push((pred, vec![pid])),
-                }
+                let (pred, _) = catalog.pair(pid);
+                let g = match preds.iter().position(|&p| p == pred) {
+                    Some(g) => g,
+                    None => {
+                        preds.push(pred);
+                        if values.len() < preds.len() {
+                            values.push(Vec::new());
+                        }
+                        values[preds.len() - 1].clear();
+                        preds.len() - 1
+                    }
+                };
+                values[g].push(pid);
+            }
+            // With one value per predicate the only combination is the
+            // (sorted) property set itself.
+            if preds.len() == props.len() && props.len() <= config.max_properties_per_entity {
+                self.sets.intern(props);
+                continue;
+            }
+            if !seen_prop_sets.insert(props) {
+                continue;
             }
             // Bound the lattice: keep the most selective predicates when an
             // entity has too many.
-            if groups.len() > config.max_properties_per_entity {
-                groups.sort_by_key(|(_, v)| {
-                    v.iter()
-                        .map(|&p| table.catalog().extent(p).len())
+            kept.clear();
+            kept.extend(0..preds.len());
+            if kept.len() > config.max_properties_per_entity {
+                kept.sort_by_key(|&g| {
+                    values[g]
+                        .iter()
+                        .map(|&p| catalog.extent(p).len())
                         .min()
                         .unwrap_or(usize::MAX)
                 });
-                groups.truncate(config.max_properties_per_entity);
+                kept.truncate(config.max_properties_per_entity);
             }
-            // Cross product of one value per predicate, capped.
-            let mut combos: Vec<Vec<PropertyId>> = vec![Vec::with_capacity(groups.len())];
-            for (_, values) in &groups {
-                let mut next = Vec::with_capacity(combos.len() * values.len());
-                'outer: for combo in &combos {
-                    for &v in values {
-                        if next.len() + combos.len() >= config.max_initial_combinations_per_entity
-                            && !next.is_empty()
-                        {
-                            break 'outer;
-                        }
-                        let mut c = combo.clone();
-                        c.push(v);
-                        next.push(c);
+            // The capped cross product of one value per kept group is the
+            // first `n` combinations in mixed-radix order, the first group
+            // most significant. Adding a group of `m` values keeps
+            // `n ← min(n·m, max(1, cap − n))` of the extended combinations.
+            let cap = config.max_initial_combinations_per_entity;
+            let n = kept.iter().fold(1usize, |n, &g| {
+                n.saturating_mul(values[g].len())
+                    .min(cap.saturating_sub(n).max(1))
+            });
+            digits.clear();
+            digits.resize(kept.len(), 0);
+            for _ in 0..n {
+                self.push(kept.iter().zip(&digits).map(|(&g, &d)| values[g][d]));
+                // The next combination: the last group turns fastest.
+                for (d, &g) in digits.iter_mut().zip(&kept).rev() {
+                    *d += 1;
+                    if *d < values[g].len() {
+                        break;
                     }
+                    *d = 0;
                 }
-                combos = next;
-            }
-            for combo in combos {
-                self.push(combo);
             }
         }
     }
@@ -672,29 +795,36 @@ impl Family {
 
 /// The closed sets of an initial family and their covers, in the order the
 /// enumeration found them.
-#[derive(Default)]
 struct Lattice {
     /// Per closed set: its properties, sorted.
-    props: Vec<Box<[PropertyId]>>,
+    props: Sets,
     /// Per closed set: the family index of `I*`, its smallest superset in
     /// the family (the earliest on a tie).
     istar: Vec<u32>,
-    /// Per closed set: its covers, as indices into `props`.
-    covers: Vec<Vec<u32>>,
+    /// Per closed set: its covers, as a range of `cover_items`.
+    cover_spans: Vec<(usize, usize)>,
+    cover_items: Vec<u32>,
 }
 
 impl Lattice {
+    /// The covers of closed set `c`, as indices into `props`.
+    fn covers(&self, c: usize) -> &[u32] {
+        let (start, end) = self.cover_spans[c];
+        &self.cover_items[start..end]
+    }
+
     /// The closed-set indices in the Apriori build's creation order
     /// (module doc, step 3).
-    fn apriori_order(&self, family: &[Box<[PropertyId]>]) -> Vec<u32> {
+    fn apriori_order(&self, family: &Sets) -> Vec<u32> {
         // Per closed set, the positions in `I*` of the properties missing
         // from it, as a range of one flat buffer; empty for initial sets.
         let mut missing: Vec<u32> = Vec::new();
         let mut spans: Vec<(usize, usize)> = Vec::with_capacity(self.props.len());
-        for (x, &i) in self.props.iter().zip(&self.istar) {
+        for (c, &i) in self.istar.iter().enumerate() {
+            let x = self.props.get(c);
             let start = missing.len();
             let mut j = 0;
-            for (pos, &p) in family[i as usize].iter().enumerate() {
+            for (pos, &p) in family.get(i as usize).iter().enumerate() {
                 if x.get(j) == Some(&p) {
                     j += 1;
                 } else {
@@ -703,21 +833,31 @@ impl Lattice {
             }
             spans.push((start, missing.len()));
         }
-        let key = |c: u32| {
-            let c = c as usize;
-            let (start, end) = spans[c];
-            let i = self.istar[c];
-            if start == end {
-                (false, Reverse(0), 0, i, &missing[..0])
-            } else {
-                let level = self.props[c].len();
-                let width = family[i as usize].len();
-                (true, Reverse(level), width, i, &missing[start..end])
-            }
-        };
-        let mut order: Vec<u32> = (0..self.props.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
-        order
+        // Each key is computed once; the trailing index is never reached,
+        // as distinct closed sets have distinct keys.
+        let mut keyed: Vec<_> = spans
+            .iter()
+            .enumerate()
+            .map(|(c, &(start, end))| {
+                let i = self.istar[c];
+                if start == end {
+                    (false, Reverse(0), 0, i, &missing[..0], c as u32)
+                } else {
+                    let level = self.props.get(c).len();
+                    let width = family.get(i as usize).len();
+                    (
+                        true,
+                        Reverse(level),
+                        width,
+                        i,
+                        &missing[start..end],
+                        c as u32,
+                    )
+                }
+            })
+            .collect();
+        keyed.sort_unstable();
+        keyed.into_iter().map(|key| key.5).collect()
     }
 }
 
@@ -725,130 +865,173 @@ impl Lattice {
 /// covers up from the empty set (module doc, step 2). Returns `None` once more
 /// than `max_nodes` closed sets exist; checks the per-source budget as each
 /// one is found.
-fn closed_sets(family: &[Box<[PropertyId]>], max_nodes: usize) -> Option<Lattice> {
-    let mut lattice = Lattice::default();
-    // Dense local property indices size the per-property buckets by the
-    // family, not by the table's catalog.
-    let mut attrs: Vec<PropertyId> = family.iter().flat_map(|s| s.iter().copied()).collect();
+///
+/// Every buffer is sized by the family, not by the closed sets: the sets
+/// and covers live in arenas, the occurrence lists of the sets still to
+/// visit on one LIFO stack, and one visit's buckets in one buffer.
+fn closed_sets(family: &Sets, max_nodes: usize) -> Option<Lattice> {
+    // Dense local property indices size the per-property arrays by the
+    // family, not by the table's catalog. They keep the property order, so
+    // a sorted set stays sorted when mapped either way.
+    let mut attrs: Vec<PropertyId> = family.items.clone();
     attrs.sort_unstable();
     attrs.dedup();
-    let objects: Vec<Vec<u32>> = family
-        .iter()
-        .map(|s| {
-            s.iter()
-                .map(|p| attrs.binary_search(p).expect("family property") as u32)
-                .collect()
-        })
-        .collect();
+    let objects = Sets {
+        items: family
+            .items
+            .iter()
+            .map(|p| attrs.binary_search(p).expect("family property") as u32)
+            .collect(),
+        ends: family.ends.clone(),
+    };
     let smallest = |occ: &[u32]| -> u32 {
         *occ.iter()
-            .min_by_key(|&&t| (objects[t as usize].len(), t))
+            .min_by_key(|&&t| (objects.get(t as usize).len(), t))
             .expect("non-empty occurrence list")
     };
 
-    let mut sets: Vec<Box<[u32]>> = Vec::new();
-    let mut index: FnvHashMap<Box<[u32]>, u32> = FnvHashMap::default();
-    // `occ(X ∪ {m})` per property `m`, filled for one `X` at a time.
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); attrs.len()];
+    let mut sets = SetIndex::default();
+    let mut istar: Vec<u32> = Vec::new();
+    let mut cover_spans: Vec<(usize, usize)> = Vec::new();
+    let mut cover_items: Vec<u32> = Vec::new();
+    // `occ(X ∪ {m})` per property `m ∉ X`, for one `X` at a time: the
+    // touched properties' buckets lie end to end in `flat`, bucket `m` at
+    // `start[m]` with `count[m]` members.
+    let mut flat: Vec<u32> = Vec::new();
+    let mut start = vec![0usize; attrs.len()];
+    let mut count = vec![0usize; attrs.len()];
     let mut touched: Vec<u32> = Vec::new();
     let mut in_x = vec![false; attrs.len()];
-    let mut in_group = vec![false; attrs.len()];
+    let mut grouped = vec![false; attrs.len()];
+    let mut group: Vec<u32> = Vec::new();
+    let mut x: Vec<u32> = Vec::new();
+    let mut y: Vec<u32> = Vec::new();
+    let mut meet: Vec<u32> = Vec::new();
 
     // The walk starts below `⋂family` at the empty set, which is not a
     // node: its only cover is `⋂family` when that is non-empty, and the
-    // minimal non-empty closed sets otherwise.
+    // minimal non-empty closed sets otherwise. Each entry of `stack` is a
+    // set to visit and where its occurrence list starts on `occ_stack`.
     const EMPTY_SET: u32 = u32::MAX;
-    let mut stack: Vec<(u32, Vec<u32>)> = vec![(EMPTY_SET, (0..family.len() as u32).collect())];
-    while let Some((xi, occ)) = stack.pop() {
-        let x: Box<[u32]> = match xi {
-            EMPTY_SET => Box::default(),
-            _ => sets[xi as usize].clone(),
-        };
-        for &a in x.iter() {
+    let mut occ_stack: Vec<u32> = (0..family.len() as u32).collect();
+    let mut stack: Vec<(u32, usize)> = vec![(EMPTY_SET, 0)];
+    while let Some((xi, occ_start)) = stack.pop() {
+        x.clear();
+        if xi != EMPTY_SET {
+            x.extend_from_slice(sets.sets.get(xi as usize));
+        }
+        for &a in &x {
             in_x[a as usize] = true;
         }
-        for &t in &occ {
-            for &m in &objects[t as usize] {
+        let occ = &occ_stack[occ_start..];
+        for &t in occ {
+            for &m in objects.get(t as usize) {
                 if !in_x[m as usize] {
-                    let bucket = &mut buckets[m as usize];
-                    if bucket.is_empty() {
+                    if count[m as usize] == 0 {
                         touched.push(m);
                     }
-                    bucket.push(t);
+                    count[m as usize] += 1;
                 }
             }
         }
-        // Properties with equal occurrence lists share one closure: group
-        // them, ascending within each group.
-        touched.sort_unstable_by(|&a, &b| {
-            buckets[a as usize]
-                .cmp(&buckets[b as usize])
-                .then(a.cmp(&b))
-        });
-        let mut start = 0;
-        while start < touched.len() {
-            let occ_y = &buckets[touched[start] as usize];
-            let len = touched[start..]
-                .iter()
-                .take_while(|&&m| buckets[m as usize] == *occ_y)
-                .count();
-            let group = &touched[start..start + len];
-            start += len;
-            // Lindig's test: `X ∪ group` is a cover iff no other property
-            // occurs in every member of `occ_y` (each such property would
-            // have a strictly longer list containing `occ_y`).
-            for &m in group {
-                in_group[m as usize] = true;
+        let mut end = 0;
+        for &m in &touched {
+            start[m as usize] = end;
+            end += count[m as usize];
+            count[m as usize] = 0;
+        }
+        flat.resize(end, 0);
+        for &t in occ {
+            for &m in objects.get(t as usize) {
+                if !in_x[m as usize] {
+                    flat[start[m as usize] + count[m as usize]] = t;
+                    count[m as usize] += 1;
+                }
             }
-            let widened = objects[occ_y[0] as usize].iter().any(|&i| {
-                let other = &buckets[i as usize];
-                !in_x[i as usize]
-                    && !in_group[i as usize]
-                    && other.len() > occ_y.len()
-                    && is_subset(occ_y, other)
-            });
-            for &m in group {
-                in_group[m as usize] = false;
-            }
-            if widened {
+        }
+        occ_stack.truncate(occ_start);
+        let bucket = |m: u32| &flat[start[m as usize]..][..count[m as usize]];
+        let covers_start = cover_items.len();
+        for &m in &touched {
+            if grouped[m as usize] {
                 continue;
             }
-            let mut y: Vec<u32> = x.iter().chain(group).copied().collect();
-            y.sort_unstable();
-            let y = y.into_boxed_slice();
-            let yi = match index.get(&y) {
-                Some(&yi) => yi,
-                None => {
-                    let yi = sets.len() as u32;
-                    index.insert(y.clone(), yi);
-                    sets.push(y);
-                    lattice.istar.push(smallest(occ_y));
-                    lattice.covers.push(Vec::new());
-                    if sets.len() > max_nodes {
-                        return None;
-                    }
-                    crate::budget::checkpoint(sets.len());
-                    stack.push((yi, occ_y.clone()));
-                    yi
+            // Properties with equal occurrence lists share one closure: `m`'s
+            // group is the properties outside `X` with its list, ascending.
+            // They all occur in the list's first member, and so does every
+            // other property of the closure `⋂ occ_y`, with a longer list.
+            let occ_y = bucket(m);
+            group.clear();
+            meet.clear();
+            for &a in objects.get(occ_y[0] as usize) {
+                if in_x[a as usize] {
+                    continue;
                 }
-            };
+                if count[a as usize] > occ_y.len() {
+                    meet.push(a);
+                } else if count[a as usize] == occ_y.len() && (a == m || bucket(a) == occ_y) {
+                    grouped[a as usize] = true;
+                    group.push(a);
+                }
+            }
+            // Lindig's test by closure size: `⋂ occ_y` is `X ∪ group` plus
+            // the longer-listed properties that occur in every member of
+            // `occ_y`, and `X ∪ group` covers `X` iff there are none.
+            for &t in &occ_y[1..] {
+                if meet.is_empty() {
+                    break;
+                }
+                let member = objects.get(t as usize);
+                meet.retain(|a| member.binary_search(a).is_ok());
+            }
+            if !meet.is_empty() {
+                continue;
+            }
+            y.clear();
+            y.extend_from_slice(&x);
+            y.extend_from_slice(&group);
+            y.sort_unstable();
+            let (yi, new) = sets.intern(&y);
+            if new {
+                istar.push(smallest(occ_y));
+                cover_spans.push((0, 0));
+                if sets.sets.len() > max_nodes {
+                    return None;
+                }
+                crate::budget::checkpoint(sets.sets.len());
+                // A set found in one member is that member: no closed set
+                // lies above it, so it has no covers and needs no visit.
+                if occ_y.len() > 1 {
+                    stack.push((yi, occ_stack.len()));
+                    occ_stack.extend_from_slice(occ_y);
+                }
+            }
             if xi != EMPTY_SET {
-                lattice.covers[xi as usize].push(yi);
+                cover_items.push(yi);
             }
         }
+        if xi != EMPTY_SET {
+            cover_spans[xi as usize] = (covers_start, cover_items.len());
+        }
         for &m in &touched {
-            buckets[m as usize].clear();
+            count[m as usize] = 0;
+            grouped[m as usize] = false;
         }
         touched.clear();
-        for &a in x.iter() {
+        for &a in &x {
             in_x[a as usize] = false;
         }
     }
-    lattice.props = sets
-        .iter()
-        .map(|s| s.iter().map(|&a| attrs[a as usize]).collect())
-        .collect();
-    Some(lattice)
+    let mut props = sets.sets;
+    for a in &mut props.items {
+        *a = attrs[*a as usize];
+    }
+    Some(Lattice {
+        props,
+        istar,
+        cover_spans,
+        cover_items,
+    })
 }
 
 fn is_subset(sub: &[u32], sup: &[u32]) -> bool {
@@ -1134,17 +1317,23 @@ mod tests {
         assert!(h.is_empty());
     }
 
+    /// The capped cross product keeps the first `n` combinations in
+    /// mixed-radix order, `n` following the stage rule: predicates with 3,
+    /// 3 and 2 values under cap 5 keep 3, then 2, then 3 combinations, so
+    /// the last stage is cut inside its second prefix.
     #[test]
     fn multi_valued_predicate_generates_capped_combinations() {
         let mut t = Interner::new();
         let mut facts = Vec::new();
-        for i in 0..10 {
-            facts.push(midas_kb::Fact::intern(
-                &mut t,
-                "cocktail",
-                "ingredient",
-                &format!("ing{i}"),
-            ));
+        for (pred, values) in [("a", 3), ("b", 3), ("c", 2)] {
+            for i in 0..values {
+                facts.push(midas_kb::Fact::intern(
+                    &mut t,
+                    "cocktail",
+                    pred,
+                    &format!("{pred}{i}"),
+                ));
+            }
         }
         let src = crate::source::SourceFacts::new(
             midas_weburl::SourceUrl::parse("http://c.com/m").unwrap(),
@@ -1153,12 +1342,32 @@ mod tests {
         let kb = midas_kb::KnowledgeBase::new();
         let ft = FactTable::build(&src, &kb);
         let mut cfg = MidasConfig::running_example();
-        cfg.max_initial_combinations_per_entity = 4;
+        cfg.max_initial_combinations_per_entity = 5;
         let ctx = ProfitCtx::new(&ft, cfg.cost);
         let h = SliceHierarchy::build(&ft, &ctx, &cfg);
-        let initial = h.iter().filter(|&id| h.node(id).is_initial).count();
-        assert!(initial <= 4, "combination cap respected, got {initial}");
-        assert!(initial >= 1);
+        let initial: Vec<Vec<PropertyId>> = h
+            .iter()
+            .filter(|&id| h.node(id).is_initial)
+            .map(|id| h.node(id).props.to_vec())
+            .collect();
+        let mut combo = |values: [(&str, &str); 3]| -> Vec<PropertyId> {
+            let mut ids: Vec<PropertyId> = values
+                .iter()
+                .map(|&(p, v)| prop(&ft, &mut t, p, v))
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        let expected = vec![
+            combo([("a", "a0"), ("b", "b0"), ("c", "c0")]),
+            combo([("a", "a0"), ("b", "b0"), ("c", "c1")]),
+            combo([("a", "a0"), ("b", "b1"), ("c", "c0")]),
+        ];
+        assert_eq!(initial, expected, "the first 3 combinations, in order");
+        assert!(
+            (0..3).all(|id| h.node(id).is_initial),
+            "initial nodes come first"
+        );
     }
 
     #[test]
@@ -1360,6 +1569,83 @@ mod tests {
         }
         let h4 = SliceHierarchy::build(&ft, &ctx, &cfg.clone().with_threads(4));
         assert_hierarchies_identical(&h, &h4);
+    }
+
+    /// A raw family: random small sets over a few shared properties, some
+    /// with a private property added, some followed by a nested member (a
+    /// prefix of themselves).
+    fn raw_family(draws: &[(Vec<u32>, u8)]) -> Sets {
+        let mut family = Family::default();
+        for (i, (set, shape)) in draws.iter().enumerate() {
+            let private = (shape & 1 == 1).then_some(100 + i as u32);
+            family.push(set.iter().copied().chain(private));
+            if shape & 2 == 2 {
+                family.push(set.iter().copied().take(set.len() / 2 + 1));
+            }
+        }
+        family.into_sets()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// `closed_sets` against brute force on raw families: exactly the
+        /// non-empty intersections of non-empty subfamilies, each with its
+        /// minimal closed strict supersets as covers and its smallest family
+        /// superset, the earliest on a tie, as `I*`.
+        #[test]
+        fn closed_sets_match_brute_force(draws in proptest::collection::vec(
+            (proptest::collection::vec(0u32..6, 0..5), 0u8..4),
+            1..7,
+        )) {
+            let family = raw_family(&draws);
+            let members: Vec<&[u32]> = family.iter().collect();
+            let mut closed: std::collections::BTreeSet<Vec<u32>> = Default::default();
+            for mask in 1u32..1 << members.len() {
+                let mut meet: Option<Vec<u32>> = None;
+                for (i, m) in members.iter().enumerate() {
+                    if mask >> i & 1 == 1 {
+                        meet = Some(match meet {
+                            None => m.to_vec(),
+                            Some(acc) => acc.into_iter().filter(|p| m.contains(p)).collect(),
+                        });
+                    }
+                }
+                let meet = meet.expect("non-empty subfamily");
+                if !meet.is_empty() {
+                    closed.insert(meet);
+                }
+            }
+            let lattice = closed_sets(&family, usize::MAX).expect("uncapped");
+            let found: Vec<Vec<u32>> = lattice.props.iter().map(<[u32]>::to_vec).collect();
+            let found_set: std::collections::BTreeSet<Vec<u32>> = found.iter().cloned().collect();
+            proptest::prop_assert_eq!(found.len(), found_set.len(), "a closed set repeats");
+            proptest::prop_assert_eq!(&found_set, &closed);
+            let strictly_below = |x: &[u32], y: &[u32]| x.len() < y.len() && is_subset(x, y);
+            for (c, x) in found.iter().enumerate() {
+                let mut covers: Vec<&Vec<u32>> = lattice
+                    .covers(c)
+                    .iter()
+                    .map(|&y| &found[y as usize])
+                    .collect();
+                covers.sort();
+                let expected: Vec<&Vec<u32>> = closed
+                    .iter()
+                    .filter(|y| strictly_below(x, y))
+                    .filter(|y| !closed.iter().any(|z| strictly_below(x, z) && strictly_below(z, y)))
+                    .collect();
+                proptest::prop_assert_eq!(covers, expected, "covers of {:?}", x);
+                let istar = (0..members.len())
+                    .filter(|&i| is_subset(x, members[i]))
+                    .min_by_key(|&i| (members[i].len(), i))
+                    .expect("a family superset");
+                proptest::prop_assert_eq!(lattice.istar[c] as usize, istar, "I* of {:?}", x);
+            }
+            proptest::prop_assert!(closed_sets(&family, closed.len()).is_some());
+            if let Some(below) = closed.len().checked_sub(1) {
+                proptest::prop_assert!(closed_sets(&family, below).is_none());
+            }
+        }
     }
 
     /// A cap at or above the canonical-slice count builds the uncapped

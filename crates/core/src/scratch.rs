@@ -221,6 +221,17 @@ pub fn put_flags(buf: Vec<bool>) {
     });
 }
 
+/// How many more id and block buffers this thread's pool keeps: further
+/// [`put_ids`]/[`put_blocks`] calls drop their buffer.
+pub(crate) fn room() -> (usize, usize) {
+    with_buffers(|b| {
+        (
+            MAX_VECS_PER_KIND - b.ids.len(),
+            MAX_VECS_PER_KIND - b.blocks.len(),
+        )
+    })
+}
+
 /// Runs `f` against a zeroed `words`-long bitmap borrowed from the pool.
 ///
 /// The buffer is taken before `f` and returned after, so `f` may itself call

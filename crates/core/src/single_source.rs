@@ -11,6 +11,10 @@ use crate::slice::DiscoveredSlice;
 use crate::source::SourceFacts;
 use crate::traversal::traverse;
 
+mod metrics {
+    crate::histogram!(pub TRAVERSAL_NS, "traversal_ns");
+}
+
 /// The MIDASalg algorithm: bottom-up hierarchy construction with pruning,
 /// followed by the top-down traversal.
 #[derive(Debug, Clone, Default)]
@@ -102,7 +106,10 @@ impl MidasAlg {
         };
         let warmed = patched.is_some();
         let hierarchy = patched.unwrap_or_else(|| self.build_hierarchy(table, &ctx, seeds));
-        let slices = self.materialise(table, source, &ctx, &hierarchy);
+        let slices = {
+            let _span = crate::telemetry::span("traversal", &metrics::TRAVERSAL_NS);
+            self.materialise(table, source, &ctx, &hierarchy)
+        };
         if retain {
             return LeafOutcome {
                 slices,

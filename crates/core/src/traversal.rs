@@ -11,7 +11,7 @@ use crate::profit::ProfitCtx;
 
 /// Runs Algorithm 1 and returns the selected node ids in selection order.
 pub fn traverse(h: &SliceHierarchy, ctx: &ProfitCtx<'_>) -> Vec<NodeId> {
-    let mut covered = vec![false; h.capacity()];
+    let mut covered = vec![false; h.len()];
     let mut acc = ctx.accumulator();
     let mut result = Vec::new();
     for l in 1..=h.max_level() {
@@ -37,13 +37,6 @@ pub fn traverse(h: &SliceHierarchy, ctx: &ProfitCtx<'_>) -> Vec<NodeId> {
         }
     }
     result
-}
-
-impl SliceHierarchy {
-    /// Node slots (for traversal bitmaps): the node count.
-    pub fn capacity(&self) -> usize {
-        self.len()
-    }
 }
 
 #[cfg(test)]

@@ -147,11 +147,10 @@ fn build(triples: &[(u8, u8, u8, bool)]) -> (SourceFacts, KnowledgeBase) {
 }
 
 fn assert_identical(a: &SliceHierarchy, b: &SliceHierarchy) {
-    assert_eq!(a.capacity(), b.capacity(), "node counts differ");
-    assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len(), "node counts differ");
     assert_eq!(a.max_level(), b.max_level());
     assert_eq!(a.capped, b.capped);
-    for id in 0..a.capacity() as u32 {
+    for id in 0..a.len() as u32 {
         let (x, y) = (a.node(id), b.node(id));
         assert_eq!(x.props, y.props, "node {id}: props");
         assert_eq!(x.extent, y.extent, "node {id}: extent");
