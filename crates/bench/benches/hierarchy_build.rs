@@ -63,10 +63,7 @@ fn bench_dense_page(c: &mut Criterion) {
     c.bench_function("hierarchy_build/dense_page", |b| {
         b.iter(|| {
             let ctx = ProfitCtx::new(&table, cfg.cost);
-            let h = SliceHierarchy::build(&table, &ctx, &cfg);
-            let len = h.len();
-            h.recycle();
-            len
+            SliceHierarchy::build(&table, &ctx, &cfg).len()
         })
     });
 }

@@ -7,8 +7,8 @@
 //! across *separate processes* — `scripts/bench_smoke.sh` invokes this
 //! binary once per configuration.
 //!
-//! The corpus is shaped so per-shard transient state (fact table, hierarchy
-//! extents, scratch bitmaps) dominates the resident corpus itself: the
+//! The corpus is shaped so per-shard transient state (fact table and
+//! hierarchy extents) dominates the resident corpus itself: the
 //! window then visibly caps how many shards' state coexists.
 
 use criterion::peak_rss_kb;

@@ -48,7 +48,7 @@ pub struct LeafState<'a> {
     /// [`SliceHierarchy::warm_patch`]). Ownership passes to the detector.
     pub warm: Option<(SliceHierarchy, Vec<EntityId>)>,
     /// Whether the caller keeps the table and hierarchy the detector
-    /// builds; when `false` the detector recycles them itself.
+    /// builds; when `false` the detector drops them itself.
     pub retain: bool,
 }
 
@@ -87,12 +87,9 @@ pub trait SliceDetector: Sync {
 
     /// Detects slices in one round-0 leaf given the caller's [`LeafState`].
     /// The slices must equal [`SliceDetector::detect`]'s whatever the state.
-    /// The default recycles any warm hierarchy, detects over the given
+    /// The default drops any warm hierarchy, detects over the given
     /// table (or from scratch), and retains nothing.
     fn detect_leaf(&self, input: DetectInput<'_>, state: LeafState<'_>) -> LeafOutcome {
-        if let Some((h, _)) = state.warm {
-            h.recycle();
-        }
         let slices = match state.table {
             Some(table) => self.detect_on_table(table, input),
             None => self.detect(input),

@@ -32,7 +32,6 @@
 //! on first mutation.
 
 use crate::fact_table::EntityId;
-use crate::scratch;
 use midas_kb::Column;
 
 /// Default density crossover: a set is stored dense iff
@@ -355,7 +354,7 @@ impl ExtentSet {
         let repr = match (&self.repr, &other.repr) {
             (Repr::Sparse(a), Repr::Sparse(b)) => Repr::Sparse(intersect_vec(a, b).into()),
             (Repr::Dense { blocks: a, .. }, Repr::Dense { blocks: b, .. }) => {
-                let mut blocks = scratch::take_blocks(a.len());
+                let mut blocks = vec![0; a.len()];
                 let len = kernels::and_into(&mut blocks, a, b);
                 blocks_or_empty(&mut blocks, len);
                 Repr::Dense {
@@ -364,13 +363,11 @@ impl ExtentSet {
                 }
             }
             (Repr::Sparse(a), Repr::Dense { .. }) => {
-                let mut out = scratch::take_ids();
-                out.extend(a.iter().copied().filter(|&e| other.contains(e)));
+                let out: Vec<_> = a.iter().copied().filter(|&e| other.contains(e)).collect();
                 Repr::Sparse(out.into())
             }
             (Repr::Dense { .. }, Repr::Sparse(b)) => {
-                let mut out = scratch::take_ids();
-                out.extend(b.iter().copied().filter(|&e| self.contains(e)));
+                let out: Vec<_> = b.iter().copied().filter(|&e| self.contains(e)).collect();
                 Repr::Sparse(out.into())
             }
         };
@@ -390,7 +387,7 @@ impl ExtentSet {
         let repr = match (&self.repr, &other.repr) {
             (Repr::Sparse(a), Repr::Sparse(b)) => Repr::Sparse(union_vec(a, b).into()),
             (Repr::Dense { blocks: a, .. }, Repr::Dense { blocks: b, .. }) => {
-                let mut blocks = scratch::take_blocks(a.len());
+                let mut blocks = vec![0; a.len()];
                 let len = kernels::or_into(&mut blocks, a, b);
                 Repr::Dense {
                     blocks: blocks.into(),
@@ -417,13 +414,10 @@ impl ExtentSet {
                 *len = kernels::and_assign(blocks.make_mut(), b);
             }
             (Repr::Sparse(a), Repr::Sparse(b)) if skewed(a.len(), b.len()) => {
-                // Pathological skew: gallop into a pooled buffer and swap it
-                // in — still allocation-free in the steady state.
-                let mut out = scratch::take_ids();
+                // Pathological skew: gallop into a fresh buffer and swap it in.
+                let mut out = Vec::new();
                 gallop_intersect_into(a, b, &mut out);
-                if let Some(old) = std::mem::replace(a, out.into()).take_owned() {
-                    scratch::put_ids(old);
-                }
+                *a = out.into();
             }
             (Repr::Sparse(a), Repr::Sparse(b)) => {
                 // In-place two-pointer merge — `retain` + `binary_search`
@@ -533,18 +527,10 @@ impl ExtentSet {
         let len = self.len() as u32;
         let want_dense = prefers_dense(self.universe, len, self.divisor);
         match (&self.repr, want_dense) {
-            (Repr::Sparse(_), true) => {
-                let Repr::Sparse(mut v) =
-                    std::mem::replace(&mut self.repr, Repr::Sparse(Column::new()))
-                else {
-                    unreachable!()
-                };
-                let mut blocks = scratch::take_blocks(block_count(self.universe));
-                for &e in &v {
+            (Repr::Sparse(v), true) => {
+                let mut blocks = vec![0u64; block_count(self.universe)];
+                for &e in v {
                     blocks[(e / 64) as usize] |= 1u64 << (e % 64);
-                }
-                if let Some(old) = v.take_owned() {
-                    scratch::put_ids(old);
                 }
                 self.repr = Repr::Dense {
                     blocks: blocks.into(),
@@ -552,37 +538,10 @@ impl ExtentSet {
                 };
             }
             (Repr::Dense { .. }, false) => {
-                let mut ids = scratch::take_ids();
-                ids.extend(self.iter());
-                let Repr::Dense { mut blocks, .. } =
-                    std::mem::replace(&mut self.repr, Repr::Sparse(ids.into()))
-                else {
-                    unreachable!()
-                };
-                if let Some(old) = blocks.take_owned() {
-                    scratch::put_blocks(old);
-                }
+                let ids: Vec<_> = self.iter().collect();
+                self.repr = Repr::Sparse(ids.into());
             }
             _ => {}
-        }
-    }
-
-    /// Consumes the set, returning its backing buffer to the scratch pool so
-    /// the next shard can reuse the capacity. Purely an optimisation —
-    /// dropping the set instead is always correct; mapped (snapshot-backed)
-    /// buffers belong to the mapping and are simply dropped.
-    pub fn recycle(self) {
-        match self.repr {
-            Repr::Sparse(mut v) => {
-                if let Some(old) = v.take_owned() {
-                    scratch::put_ids(old);
-                }
-            }
-            Repr::Dense { mut blocks, .. } => {
-                if let Some(old) = blocks.take_owned() {
-                    scratch::put_blocks(old);
-                }
-            }
         }
     }
 }
@@ -635,9 +594,7 @@ pub fn union_mark_into(sets: &[&ExtentSet], bits: &mut [u64]) {
 
 /// Dense blocks plus a sparse list, as a dense repr.
 fn dense_with(blocks: &Column<u64>, len: u32, extra: &Column<EntityId>) -> Repr {
-    let mut out = scratch::take_blocks(blocks.len());
-    out.copy_from_slice(blocks);
-    let mut blocks = out;
+    let mut blocks = blocks.to_vec();
     let mut len = len;
     for &e in extra {
         let w = &mut blocks[(e / 64) as usize];
@@ -662,7 +619,7 @@ fn skewed(a: usize, b: usize) -> bool {
 
 fn intersect_vec(a: &[EntityId], b: &[EntityId]) -> Vec<EntityId> {
     if skewed(a.len(), b.len()) {
-        let mut out = scratch::take_ids();
+        let mut out = Vec::new();
         gallop_intersect_into(a, b, &mut out);
         return out;
     }
@@ -717,8 +674,7 @@ fn gallop_intersect_into(a: &[EntityId], b: &[EntityId], out: &mut Vec<EntityId>
 }
 
 fn union_vec(a: &[EntityId], b: &[EntityId]) -> Vec<EntityId> {
-    let mut out = scratch::take_ids();
-    out.reserve(a.len() + b.len());
+    let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -1046,21 +1002,6 @@ mod tests {
     }
 
     #[test]
-    fn recycle_roundtrip_keeps_sets_correct() {
-        // Recycling returns buffers to the pool; later sets built from the
-        // pool must be unaffected by the old contents.
-        let u = 10_000;
-        ExtentSet::from_sorted(u, (0..5000).collect()).recycle();
-        ExtentSet::from_sorted(u, vec![1, 2, 3]).recycle();
-        let fresh = ExtentSet::from_sorted(u, (0..1000).map(|i| i * 10).collect());
-        assert_eq!(fresh.len(), 1000);
-        assert_eq!(
-            fresh.to_vec(),
-            (0..1000).map(|i| i * 10).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn calibrated_divisor_is_deterministic_and_bounded() {
         // Tiny universes densify aggressively regardless of distribution.
         assert_eq!(calibrate_divisor(100, &[1, 2, 3]), MAX_DENSITY_DIVISOR);
@@ -1138,6 +1079,63 @@ mod tests {
         let mut c = b.clone();
         c.intersect_with(&a);
         assert_eq!(c.divisor(), 256);
+    }
+
+    /// `set` with its storage copied into a shared mapping, as a snapshot
+    /// load provides it.
+    fn mapped_copy(set: &ExtentSet) -> ExtentSet {
+        let mut bytes: Vec<u8> = Vec::with_capacity(8 + 8 * set.universe as usize);
+        let off = bytes.as_ptr().align_offset(8);
+        bytes.resize(off, 0);
+        match &set.repr {
+            Repr::Sparse(v) => v.iter().for_each(|e| bytes.extend(e.to_le_bytes())),
+            Repr::Dense { blocks, .. } => blocks.iter().for_each(|w| bytes.extend(w.to_le_bytes())),
+        }
+        let map = std::sync::Arc::new(midas_kb::Mmap::from_vec(bytes));
+        let repr = match &set.repr {
+            Repr::Sparse(v) => Repr::Sparse(Column::mapped(map, off, v.len()).expect("aligned")),
+            Repr::Dense { blocks, len } => Repr::Dense {
+                blocks: Column::mapped(map, off, blocks.len()).expect("aligned"),
+                len: *len,
+            },
+        };
+        ExtentSet { repr, ..*set }
+    }
+
+    /// Runs `op` on a clone of a mapped copy of `set`, and checks that
+    /// the result owns its storage and that the mapping still reads `set`.
+    fn on_mapped_clone(set: &ExtentSet, op: impl FnOnce(&mut ExtentSet)) -> ExtentSet {
+        let original = mapped_copy(set);
+        let mut changed = original.clone();
+        op(&mut changed);
+        assert!(!changed.is_mapped());
+        assert!(original.is_mapped() && original == *set && original.is_dense() == set.is_dense());
+        changed
+    }
+
+    #[test]
+    fn skewed_in_place_intersect_copies_out_of_a_mapping() {
+        let spread = set(100_000, &(0..2000).map(|i| i * 50).collect::<Vec<_>>());
+        let small = set(100_000, &[0, 50, 51, 99_950]);
+        assert!(!spread.is_dense() && skewed(spread.len(), small.len()));
+        let a = on_mapped_clone(&spread, |a| a.intersect_with(&small));
+        assert_eq!(a.to_vec(), vec![0, 50, 99_950]);
+    }
+
+    #[test]
+    fn raising_the_divisor_densifies_a_mapped_set_without_touching_it() {
+        let ids: Vec<EntityId> = (0..2000).map(|i| i * 50 + 7).collect();
+        let a = on_mapped_clone(&set(100_000, &ids), |a| a.set_divisor(64));
+        assert!(a.is_dense() && a.to_vec() == ids);
+    }
+
+    #[test]
+    fn shrinking_a_mapped_dense_set_to_sparse_spares_the_mapping() {
+        let evens = set(640, &(0..640).step_by(2).collect::<Vec<_>>());
+        let low = set(640, &(0..20).collect::<Vec<_>>());
+        assert!(evens.is_dense() && low.is_dense());
+        let a = on_mapped_clone(&evens, |a| a.intersect_with(&low));
+        assert!(!a.is_dense() && a.to_vec() == (0..20).step_by(2).collect::<Vec<_>>());
     }
 
     #[test]

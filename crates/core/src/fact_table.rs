@@ -27,7 +27,6 @@ use midas_kb::fnv::FnvHashMap;
 use midas_kb::{Column, Fact, KnowledgeBase, Symbol};
 
 use crate::extent::{calibrate_divisor, ExtentSet};
-use crate::scratch;
 use crate::source::SourceFacts;
 
 /// Dense per-source entity index (row number in the fact table).
@@ -142,7 +141,7 @@ impl FactTable {
         // Rows are therefore slices of the source column itself.
         debug_assert!(facts.windows(2).all(|w| w[0] < w[1]));
         let mut subjects: Vec<Symbol> = Vec::new();
-        let mut row_offsets = scratch::take_ids();
+        let mut row_offsets: Vec<u32> = Vec::new();
         for (i, f) in facts.iter().enumerate() {
             if subjects.last() != Some(&f.subject) {
                 u32::try_from(subjects.len()).expect("fact table overflow");
@@ -160,16 +159,12 @@ impl FactTable {
 
         let mut catalog = PropertyCatalog::default();
         let mut raw_extents: Vec<Vec<EntityId>> = Vec::new();
-        let mut props_flat = scratch::take_ids();
-        props_flat.reserve(facts.len());
-        let mut props_offsets = scratch::take_ids();
-        props_offsets.reserve(n + 1);
+        let mut props_flat: Vec<PropertyId> = Vec::with_capacity(facts.len());
+        let mut props_offsets: Vec<u32> = Vec::with_capacity(n + 1);
         props_offsets.push(0);
-        let mut row_props = scratch::take_ids();
-        let mut facts_count = scratch::take_ids();
-        facts_count.reserve(n);
-        let mut new_count = scratch::take_ids();
-        new_count.reserve(n);
+        let mut row_props: Vec<PropertyId> = Vec::new();
+        let mut facts_count: Vec<u32> = Vec::with_capacity(n);
+        let mut new_count: Vec<u32> = Vec::with_capacity(n);
         let mut distinct_sp_pairs = 0usize;
         for eid in 0..n {
             let row = &facts[row_offsets[eid] as usize..row_offsets[eid + 1] as usize];
@@ -193,7 +188,7 @@ impl FactTable {
             }
             row_props.sort_unstable();
             row_props.dedup();
-            raw_extents.resize_with(catalog.len(), scratch::take_ids);
+            raw_extents.resize_with(catalog.len(), Vec::new);
             for &pid in &row_props {
                 raw_extents[pid as usize].push(eid as EntityId);
             }
@@ -202,15 +197,12 @@ impl FactTable {
             facts_count.push(u32::try_from(row.len()).expect("row overflow"));
             new_count.push(news);
         }
-        scratch::put_ids(row_props);
         // Extents were filled in ascending entity order, so they are sorted;
         // calibrate one density divisor for the whole table from the extent
         // length distribution, then seal them with it.
         let universe = u32::try_from(n).expect("fact table overflow");
-        let mut lens = scratch::take_ids();
-        lens.extend(raw_extents.iter().map(|v| v.len() as u32));
+        let lens: Vec<u32> = raw_extents.iter().map(|v| v.len() as u32).collect();
         let divisor = calibrate_divisor(universe, &lens);
-        scratch::put_ids(lens);
         catalog.extents = raw_extents
             .into_iter()
             .map(|v| ExtentSet::from_sorted_with_divisor(universe, divisor, v))
@@ -422,7 +414,7 @@ impl FactTable {
     }
 
     /// `(new(U), facts(U))` for a `u64`-block bitmap over the entity
-    /// universe (e.g. an accumulator's covered map, or a scratch union of
+    /// universe (e.g. an accumulator's covered map, or the union of
     /// several extents). Fully-populated words are charged in O(1) via the
     /// prefix-sum arrays.
     ///
@@ -580,10 +572,13 @@ impl FactTable {
     /// contents — so slice output is bit-identical either way.
     pub fn recalibrate_divisor(&mut self) -> bool {
         let universe = u32::try_from(self.subjects.len()).expect("fact table overflow");
-        let mut lens = scratch::take_ids();
-        lens.extend(self.catalog.extents.iter().map(|e| e.len() as u32));
+        let lens: Vec<u32> = self
+            .catalog
+            .extents
+            .iter()
+            .map(|e| e.len() as u32)
+            .collect();
         let divisor = calibrate_divisor(universe, &lens);
-        scratch::put_ids(lens);
         if divisor == self.divisor {
             return false;
         }
@@ -594,40 +589,10 @@ impl FactTable {
         true
     }
 
-    /// Consumes the table, returning its reusable owned buffers (property
-    /// extents, flattened property lists, offsets, packed counts, prefix
-    /// sums) to the scratch pool for the next shard. Snapshot-mapped columns
-    /// have no buffer to reclaim and are simply dropped. Purely an
-    /// optimisation — dropping the table is always correct.
-    pub fn recycle(mut self) {
-        for ext in self.catalog.extents {
-            ext.recycle();
-        }
-        if let Some(v) = self.entity_props_flat.take_owned() {
-            scratch::put_ids(v);
-        }
-        if let Some(v) = self.entity_props_offsets.take_owned() {
-            scratch::put_ids(v);
-        }
-        if let Some(v) = self.row_offsets.take_owned() {
-            scratch::put_ids(v);
-        }
-        if let Some(v) = self.facts_count.take_owned() {
-            scratch::put_ids(v);
-        }
-        if let Some(v) = self.new_count.take_owned() {
-            scratch::put_ids(v);
-        }
-        if let Some(v) = self.packed_counts.take_owned() {
-            scratch::put_blocks(v);
-        }
-        if let Some(v) = self.facts_prefix.take_owned() {
-            scratch::put_blocks(v);
-        }
-        if let Some(v) = self.new_prefix.take_owned() {
-            scratch::put_blocks(v);
-        }
-    }
+    /// Drops the table. Engine code drops tables directly; this no-op
+    /// exists only for `perfbench/tracer`, until its replay is deleted
+    /// (ROADMAP item 3).
+    pub fn recycle(self) {}
 
     /// The entity extent of a property conjunction — `Π` of Definition 5,
     /// computed by intersecting the per-property inverted extents (smallest
@@ -658,8 +623,7 @@ fn derive_count_structures(
 ) -> (Column<u64>, Column<u64>, Column<u64>) {
     let prefix = |counts: &[u32]| {
         let mut acc = 0u64;
-        let mut out = scratch::take_blocks(0);
-        out.reserve(counts.len() + 1);
+        let mut out = Vec::with_capacity(counts.len() + 1);
         out.push(0);
         for &c in counts {
             acc += u64::from(c);
@@ -669,14 +633,11 @@ fn derive_count_structures(
     };
     let facts_prefix = prefix(facts_count);
     let new_prefix = prefix(new_count);
-    let mut packed_counts = scratch::take_blocks(0);
-    packed_counts.reserve(new_count.len());
-    packed_counts.extend(
-        new_count
-            .iter()
-            .zip(facts_count)
-            .map(|(&n, &f)| u64::from(n) | (u64::from(f) << 32)),
-    );
+    let packed_counts: Vec<u64> = new_count
+        .iter()
+        .zip(facts_count)
+        .map(|(&n, &f)| u64::from(n) | (u64::from(f) << 32))
+        .collect();
     (facts_prefix.into(), new_prefix.into(), packed_counts.into())
 }
 

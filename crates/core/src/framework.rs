@@ -24,12 +24,11 @@
 //! admitted to the pool at once (configurable via
 //! [`Framework::with_stream_window`], `--stream-window` on the CLI), and
 //! each shard's result is folded into the round state in deterministic input
-//! order the moment its turn completes. Completed shards release their fact
-//! tables, hierarchy extents, and scratch buffers eagerly (see
-//! [`crate::scratch`]), so peak resident memory is proportional to the
-//! window, not the corpus. The delivery order — and therefore every report
-//! and quarantine entry — is bit-identical at every `(window, threads)`
-//! combination.
+//! order the moment its turn completes. Completed shards drop their fact
+//! tables and hierarchies eagerly, so peak resident memory is proportional
+//! to the window, not the corpus. The delivery order — and therefore every
+//! report and quarantine entry — is bit-identical at every
+//! `(window, threads)` combination.
 //!
 //! ### Incremental re-runs
 //!
@@ -121,6 +120,7 @@ mod metrics {
     crate::histogram!(pub SHARD_NS, "framework.phase.shard_ns");
     crate::histogram!(pub DETECT_NS, "framework.phase.detect_ns");
     crate::histogram!(pub CONSOLIDATE_NS, "framework.phase.consolidate_ns");
+    crate::histogram!(pub REFRESH_NS, "fact_table.refresh_ns");
 }
 
 /// What a round exports to the next round.
@@ -352,17 +352,9 @@ impl RoundCache {
         self.hierarchies.iter().flatten().count()
     }
 
-    /// Drops all cached state; the next incremental run starts cold. The
-    /// retained hierarchies' arenas are recycled into the scratch pools
-    /// rather than freed, so a cold restart still reuses their capacity.
+    /// Drops all cached state; the next incremental run starts cold.
     pub fn clear(&mut self) {
-        let old = std::mem::take(self);
-        for h in old.hierarchies.into_iter().flatten() {
-            h.recycle();
-        }
-        for t in old.tables.into_iter().flatten() {
-            t.recycle();
-        }
+        *self = Self::default();
     }
 
     /// Binds the cache to `corpus` under `config`. The corpus it was built
@@ -716,7 +708,7 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
     /// Bounds the number of shards admitted to a round's pool at once
     /// (`None` = unbounded: the whole round in flight, the pre-streaming
     /// behaviour). Smaller windows cap peak resident memory — a completed
-    /// shard's fact table, extents, and scratch buffers are released before
+    /// shard's fact table and hierarchy are dropped before
     /// later shards are admitted — at the cost of pipeline slack when shard
     /// sizes are very uneven. Reports are bit-identical at every window.
     pub fn with_stream_window(mut self, window: Option<usize>) -> Self {
@@ -806,6 +798,7 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
         // bound the warm hierarchy patch to the nodes whose extents the
         // delta touched.
         let mut changed: BTreeMap<usize, Vec<EntityId>> = BTreeMap::new();
+        let refresh_span = telemetry::span("fact_table.refresh", &metrics::REFRESH_NS);
         for url in &delta.sources {
             let Ok(p) = leaves.binary_search_by(|s| s.url.cmp(url)) else {
                 continue;
@@ -817,6 +810,7 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
                 changed.insert(p, rows);
             }
         }
+        drop(refresh_span);
         self.drive(&leaves, kb, Some(cache), None, changed)
     }
 
@@ -1025,14 +1019,10 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
                 cache.tasks[index] = Some(task);
             }
             for (index, table) in new_tables {
-                if let Some(old) = cache.tables[index].replace(table) {
-                    old.recycle();
-                }
+                cache.tables[index] = Some(table);
             }
             for (index, h) in new_hierarchies {
-                if let Some(old) = cache.hierarchies[index].replace(h) {
-                    old.recycle();
-                }
+                cache.hierarchies[index] = Some(h);
             }
         }
         // Discard quarantined leaves *before* the merge rounds: their facts

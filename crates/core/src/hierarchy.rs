@@ -86,6 +86,7 @@ mod metrics {
     crate::histogram!(pub SEED_NS, "hierarchy.seed_ns");
     crate::histogram!(pub ENUMERATE_NS, "hierarchy.enumerate_ns");
     crate::histogram!(pub EVALUATE_NS, "hierarchy.evaluate_ns");
+    crate::histogram!(pub WARM_PATCH_NS, "hierarchy.warm_patch_ns");
 }
 
 const KIND_NODES_EVALUATED: usize = 0;
@@ -221,11 +222,9 @@ impl SliceHierarchy {
                     for seed in seeds {
                         // A seed that matches no entity in this table carries
                         // no facts; drop it outright.
-                        let extent = table.extent_of(seed);
-                        if !extent.is_empty() {
+                        if !table.extent_of(seed).is_empty() {
                             family.push(seed.iter().copied());
                         }
-                        extent.recycle();
                     }
                 }
                 None => family.seed_from_entities(table, config),
@@ -278,29 +277,10 @@ impl SliceHierarchy {
             .find(|&id| *self.nodes[id as usize].props == *props)
     }
 
-    /// Consumes the hierarchy once a shard's report is materialized,
-    /// returning node extents to the scratch pool while it has room for
-    /// them. Links and `SLB` sets never came from the pool, and the pool
-    /// keeps at most [`crate::scratch::MAX_VECS_PER_KIND`] buffers of a kind,
-    /// so everything else is simply dropped. Purely an optimisation —
-    /// dropping the hierarchy is always correct.
-    pub fn recycle(self) {
-        let (mut ids, mut blocks) = crate::scratch::room();
-        for node in self.nodes {
-            if ids == 0 && blocks == 0 {
-                break;
-            }
-            let room = if node.extent.is_dense() {
-                &mut blocks
-            } else {
-                &mut ids
-            };
-            if *room > 0 {
-                *room -= 1;
-                node.extent.recycle();
-            }
-        }
-    }
+    /// Drops the hierarchy. Engine code drops hierarchies directly; this
+    /// no-op exists only for `perfbench/tracer`, until its replay is
+    /// deleted (ROADMAP item 3).
+    pub fn recycle(self) {}
 
     // ---- construction -----------------------------------------------------
 
@@ -411,8 +391,8 @@ impl SliceHierarchy {
         }
     }
 
-    /// Releases the extent of an invalid node into the scratch pool,
-    /// leaving a canonical empty set behind. Sequential and parallel builds
+    /// Drops the extent of an invalid node, leaving a canonical empty set
+    /// behind. Sequential and parallel builds
     /// invalidate the same nodes in the same order, so freed extents stay
     /// node-for-node identical across thread counts.
     fn free_extent(&mut self, id: NodeId) {
@@ -420,7 +400,7 @@ impl SliceHierarchy {
         debug_assert!(!node.valid, "only invalid nodes lose their extent");
         if !node.extent_freed {
             let universe = node.extent.universe();
-            std::mem::replace(&mut node.extent, ExtentSet::empty(universe)).recycle();
+            node.extent = ExtentSet::empty(universe);
             node.extent_freed = true;
             tally(KIND_EXTENTS_FREED, 1);
         }
@@ -460,11 +440,10 @@ impl SliceHierarchy {
             let f_child_set = if child_set.is_empty() {
                 0.0
             } else {
-                // Batched multi-way union into a pooled bitmap through the
+                // Batched multi-way union into one bitmap through the
                 // block kernels instead of merging sorted vectors
                 // pairwise or marking one extent at a time — dense SLB
-                // extents are OR'd in register-resident groups, and the
-                // bitmap is recycled across nodes, levels, and shards.
+                // extents are OR'd in register-resident groups.
                 let extents: Vec<&ExtentSet> = child_set
                     .iter()
                     .map(|&s| this.nodes[s as usize].live_extent())
@@ -536,27 +515,9 @@ impl SliceHierarchy {
         config: &MidasConfig,
         changed: &[EntityId],
     ) -> bool {
-        // The dirty-flag buffer is pooled. Every exit — a structure-refusal
-        // `false` (the caller falls back to a cold rebuild), a budget
-        // breach unwinding out of `checkpoint`, or the normal return — must
-        // hand it back, or warm and cold runs end up with different pool
-        // occupancy (the scratch take/put counters pinned this down). An
-        // RAII holder routes all three through one `put_flags`.
-        struct PooledFlags(Option<Vec<bool>>);
-        impl Drop for PooledFlags {
-            fn drop(&mut self) {
-                if let Some(buf) = self.0.take() {
-                    crate::scratch::put_flags(buf);
-                }
-            }
-        }
+        let _span = telemetry::span("hierarchy.warm_patch", &metrics::WARM_PATCH_NS);
         let table = ctx.table();
         let universe = table.num_entities() as u32;
-        let mut holder = PooledFlags(Some(crate::scratch::take_flags(self.nodes.len())));
-        let dirty: &mut [bool] = match holder.0.as_mut() {
-            Some(buf) => buf,
-            None => &mut [],
-        };
         if let Some(node) = self.nodes.first() {
             if node.extent.universe() != universe {
                 metrics::WARM_REFUSALS.inc();
@@ -572,11 +533,15 @@ impl SliceHierarchy {
         // predicate (e ∈ Π(props) ⟺ props ⊆ props(e)) and — unlike the
         // extent itself — is still answerable for nodes whose extent was
         // freed when they were invalidated.
-        for (i, node) in self.nodes.iter().enumerate() {
-            dirty[i] = changed
-                .iter()
-                .any(|&e| is_subset(&node.props, table.entity_properties(e)));
-        }
+        let dirty: Vec<bool> = self
+            .nodes
+            .iter()
+            .map(|node| {
+                changed
+                    .iter()
+                    .any(|&e| is_subset(&node.props, table.entity_properties(e)))
+            })
+            .collect();
         let mut patched = 0u64;
         for l in (1..=self.max_level()).rev() {
             // Same cooperative budget cadence as the build's evaluation
@@ -599,7 +564,7 @@ impl SliceHierarchy {
                     let props = self.nodes[id as usize].props.clone();
                     let rebuilt = table.extent_of(&props);
                     let node = &mut self.nodes[id as usize];
-                    std::mem::replace(&mut node.extent, rebuilt).recycle();
+                    node.extent = rebuilt;
                     node.extent_freed = false;
                     metrics::EXTENTS_REBUILT.inc();
                 }
@@ -1053,7 +1018,8 @@ mod tests {
     use crate::config::MidasConfig;
     use crate::fact_table::FactTable;
     use crate::fixtures::skyrocket;
-    use midas_kb::Interner;
+    use crate::source::SourceFacts;
+    use midas_kb::{Fact, Interner};
 
     fn build_running_example(terms: &mut Interner) -> (FactTable, MidasConfig) {
         let (src, kb) = skyrocket(terms);
@@ -1527,6 +1493,31 @@ mod tests {
         let outside = ft.num_entities() as EntityId;
         assert!(!h.warm_patch(&ctx, &cfg, &[outside]));
         // The refusal must leave the hierarchy untouched.
+        let fresh = SliceHierarchy::build(&ft, &ctx, &cfg);
+        assert_hierarchies_identical(&h, &fresh);
+    }
+
+    /// A table over another entity universe cannot patch the hierarchy,
+    /// even with no changed ids: the patch refuses and changes nothing.
+    #[test]
+    fn warm_patch_refuses_a_table_of_another_universe() {
+        let mut t = Interner::new();
+        let (src, kb) = skyrocket(&mut t);
+        let ft = FactTable::build(&src, &kb);
+        let cfg = MidasConfig::running_example();
+        let ctx = ProfitCtx::new(&ft, cfg.cost);
+        let mut h = SliceHierarchy::build(&ft, &ctx, &cfg);
+        let first = src.facts[0].subject;
+        let fewer: Vec<Fact> = src
+            .facts
+            .iter()
+            .copied()
+            .filter(|f| f.subject != first)
+            .collect();
+        let other = FactTable::build(&SourceFacts::new(src.url.clone(), fewer), &kb);
+        assert_ne!(other.num_entities(), ft.num_entities());
+        let other_ctx = ProfitCtx::new(&other, cfg.cost);
+        assert!(!h.warm_patch(&other_ctx, &cfg, &[]));
         let fresh = SliceHierarchy::build(&ft, &ctx, &cfg);
         assert_hierarchies_identical(&h, &fresh);
     }

@@ -44,7 +44,6 @@ pub mod incremental;
 pub mod parallel;
 pub mod profit;
 pub mod quarantine;
-pub mod scratch;
 pub mod single_source;
 pub mod slice;
 pub mod snapshot;

@@ -78,7 +78,7 @@ impl<'a> ProfitCtx<'a> {
 
     /// `f(S)` for a set of `k` slices given the extents whose union covers
     /// `S`'s entities — the batched multi-way form of [`Self::profit_set`].
-    /// The union bitmap is built in one pass over a scratch bitmap through
+    /// The union bitmap is built in one pass over a fresh bitmap through
     /// the multi-way union kernel instead of `k` pairwise
     /// passes; the counts (and thus the profit) are bit-identical to
     /// folding the extents one by one, because the union bits are the
@@ -88,10 +88,9 @@ impl<'a> ProfitCtx<'a> {
             return 0.0;
         }
         let words = self.table.num_entities().div_ceil(64);
-        let (new_facts, total_facts) = crate::scratch::with_bitmap(words, |bits| {
-            crate::extent::union_mark_into(extents, bits);
-            self.table.fact_counts_from_blocks(bits)
-        });
+        let mut bits = vec![0u64; words];
+        crate::extent::union_mark_into(extents, &mut bits);
+        let (new_facts, total_facts) = self.table.fact_counts_from_blocks(&bits);
         self.profit_from_counts(new_facts, total_facts, k)
     }
 
@@ -168,14 +167,7 @@ impl ProfitAccumulator {
         if extents.is_empty() {
             return 0.0;
         }
-        let words = self.covered.len();
-        let (dnew, dtotal) = crate::scratch::with_bitmap(words, |union_bits| {
-            crate::extent::union_mark_into(extents, union_bits);
-            crate::scratch::with_bitmap(words, |fresh| {
-                kernels::andnot_into(fresh, union_bits, &self.covered);
-                ctx.table.fact_counts_from_blocks(fresh)
-            })
-        });
+        let (dnew, dtotal) = ctx.table.fact_counts_from_blocks(&self.uncovered(extents));
         let mut delta = (1.0 - ctx.cost.fv) * dnew as f64
             - ctx.cost.fd * dtotal as f64
             - ctx.cost.fp * extents.len() as f64;
@@ -194,21 +186,23 @@ impl ProfitAccumulator {
         if extents.is_empty() {
             return;
         }
-        let words = self.covered.len();
-        let (dnew, dtotal) = crate::scratch::with_bitmap(words, |union_bits| {
-            crate::extent::union_mark_into(extents, union_bits);
-            crate::scratch::with_bitmap(words, |fresh| {
-                kernels::andnot_into(fresh, union_bits, &self.covered);
-                let counts = ctx.table.fact_counts_from_blocks(fresh);
-                // covered ∪= fresh ≡ covered ∪= union: the bits removed by
-                // the and-not were already covered.
-                kernels::or_assign(&mut self.covered, fresh);
-                counts
-            })
-        });
+        let fresh = self.uncovered(extents);
+        let (dnew, dtotal) = ctx.table.fact_counts_from_blocks(&fresh);
+        // covered ∪= fresh ≡ covered ∪= union: the bits removed by the
+        // and-not were already covered.
+        kernels::or_assign(&mut self.covered, &fresh);
         self.new_facts += dnew;
         self.total_facts += dtotal;
         self.k += extents.len();
+    }
+
+    /// The bits of the extents' union that the set does not cover yet.
+    fn uncovered(&self, extents: &[&ExtentSet]) -> Vec<u64> {
+        let mut union_bits = vec![0u64; self.covered.len()];
+        crate::extent::union_mark_into(extents, &mut union_bits);
+        let mut fresh = vec![0u64; self.covered.len()];
+        kernels::andnot_into(&mut fresh, &union_bits, &self.covered);
+        fresh
     }
 }
 

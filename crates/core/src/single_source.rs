@@ -55,8 +55,8 @@ impl MidasAlg {
     /// table or build one, patch the warm hierarchy in place or build cold
     /// (also when the patch refuses the delta, or the run is seeded), then
     /// traverse and materialise. With `state.retain` the table it built and
-    /// the hierarchy come back to the caller; otherwise their buffers go
-    /// back to this thread's scratch pools for the next source. The slices
+    /// the hierarchy come back to the caller; otherwise they are dropped
+    /// here, on the thread that built them. The slices
     /// are bit-identical whichever way the table and hierarchy were
     /// obtained.
     pub(crate) fn detect_source(
@@ -97,8 +97,7 @@ impl MidasAlg {
                     Some(h)
                 } else {
                     // The cached hierarchy cannot absorb the delta (or the
-                    // run is seeded): recycle its arenas and rebuild cold.
-                    h.recycle();
+                    // run is seeded): drop it and rebuild cold.
                     None
                 }
             }
@@ -110,22 +109,16 @@ impl MidasAlg {
             let _span = crate::telemetry::span("traversal", &metrics::TRAVERSAL_NS);
             self.materialise(table, source, &ctx, &hierarchy)
         };
-        if retain {
-            return LeafOutcome {
-                slices,
-                table: built,
-                hierarchy: Some(hierarchy),
-                warmed,
-            };
-        }
-        hierarchy.recycle();
-        if let Some(table) = built {
-            table.recycle();
-        }
+        let (built, hierarchy) = if retain {
+            (built, Some(hierarchy))
+        } else {
+            (None, None)
+        };
         LeafOutcome {
             slices,
+            table: built,
+            hierarchy,
             warmed,
-            ..LeafOutcome::default()
         }
     }
 

@@ -2,8 +2,8 @@
 //! and per-run JSON snapshots.
 //!
 //! Every instrumented subsystem (the framework's round phases, the isolated
-//! worker pool, hierarchy construction, the extent kernels, the scratch
-//! pools, the CLI's snapshot cache and checkpoints) records into metrics
+//! worker pool, hierarchy construction, the extent kernels, the CLI's
+//! snapshot cache and checkpoints) records into metrics
 //! registered in one process-global [`MetricsRegistry`]. The layer is
 //! always compiled and near-zero-overhead when disabled:
 //!
@@ -554,7 +554,7 @@ const TALLY_FLUSH_EVERY: u64 = 1024;
 
 /// Counter increments batched in plain thread-local cells, for sites that
 /// fire hundreds of thousands of times per run (hierarchy evaluation, the
-/// extent kernels, the scratch pools): the enabled hot path is a TLS bump
+/// extent kernels): the enabled hot path is a TLS bump
 /// instead of an atomic RMW. A tally drains to its counters every
 /// [`TALLY_FLUSH_EVERY`] events, at thread exit, and — for the calling
 /// thread — at every [`snapshot`], so a snapshot is exact for every thread
@@ -612,9 +612,8 @@ impl<const N: usize> Drop for LocalTally<N> {
 }
 
 /// The flush hooks of every thread-local tally in the crate.
-const TALLY_FLUSH_HOOKS: [fn(); 3] = [
+const TALLY_FLUSH_HOOKS: [fn(); 2] = [
     crate::hierarchy::flush_tally,
-    crate::scratch::flush_tally,
     crate::extent::kernels::flush_tally,
 ];
 

@@ -126,16 +126,6 @@ impl<T: Pod> Column<T> {
             Repr::Mapped { .. } => self.as_slice().to_vec(),
         }
     }
-
-    /// Takes the owned buffer for recycling, leaving the column empty.
-    /// Mapped columns return `None` — there is nothing to recycle, the
-    /// backing store belongs to the mapping.
-    pub fn take_owned(&mut self) -> Option<Vec<T>> {
-        match &mut self.repr {
-            Repr::Owned(v) => Some(std::mem::take(v)),
-            Repr::Mapped { .. } => None,
-        }
-    }
 }
 
 impl<T: Pod> Deref for Column<T> {
@@ -253,16 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn take_owned_only_recycles_owned_buffers() {
-        let map = mapping_of_u32s(&[1]);
-        let mut mapped = Column::<u32>::mapped(map, 0, 1).unwrap();
-        assert!(mapped.take_owned().is_none());
-        let mut owned: Column<u32> = vec![9].into();
-        assert_eq!(owned.take_owned(), Some(vec![9]));
-        assert!(owned.is_empty());
-    }
-
-    #[test]
     fn clone_of_mapped_column_shares_the_mapping() {
         let map = mapping_of_u32s(&[8, 9]);
         let col = Column::<u32>::mapped(map, 0, 2).unwrap();
@@ -290,9 +270,9 @@ mod tests {
             assert_eq!(&*col, &[] as &[u32]);
         }
         assert!(Column::<u32>::mapped(Arc::clone(&map), 9, 0).is_none());
-        // An empty column still copies out and recycles like any other.
+        // An empty column still copies out like any other.
         let mut col = Column::<u32>::mapped(map, 8, 0).unwrap();
-        assert!(col.take_owned().is_none(), "still mapped, nothing to take");
+        assert!(col.is_mapped());
         assert_eq!(col.clone().into_vec(), Vec::<u32>::new());
         col.make_mut().push(11);
         assert_eq!(&*col, &[11]);
@@ -320,20 +300,5 @@ mod tests {
         assert!(!edited.is_mapped());
         assert!(original.is_mapped());
         assert_eq!(&*original, &[1, 2, 3]);
-    }
-
-    #[test]
-    fn take_owned_failure_leaves_a_mapped_column_fully_readable() {
-        let map = mapping_of_u32s(&[5, 6]);
-        let mut col = Column::<u32>::mapped(map, 0, 2).unwrap();
-        assert!(col.take_owned().is_none());
-        assert!(col.take_owned().is_none(), "repeated takes stay None");
-        // The refused take must not have drained or detached the column.
-        assert!(col.is_mapped());
-        assert_eq!(&*col, &[5, 6]);
-        // After copy-on-write the same column becomes recyclable.
-        col.make_mut();
-        assert_eq!(col.take_owned(), Some(vec![5, 6]));
-        assert!(col.is_empty());
     }
 }
