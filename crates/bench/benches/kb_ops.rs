@@ -1,10 +1,10 @@
-//! Microbench: knowledge-base substrate operations — insert, membership
-//! and conjunctive queries.
+//! Microbench: knowledge-base substrate operations — insert and
+//! membership.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use midas_kb::{ConjunctiveQuery, Fact, Interner, KnowledgeBase};
+use midas_kb::{Fact, Interner, KnowledgeBase};
 
-fn build(n: usize) -> (Interner, KnowledgeBase, Vec<Fact>) {
+fn build(n: usize) -> (KnowledgeBase, Vec<Fact>) {
     let mut terms = Interner::new();
     let mut facts = Vec::with_capacity(n);
     for i in 0..n {
@@ -16,11 +16,11 @@ fn build(n: usize) -> (Interner, KnowledgeBase, Vec<Fact>) {
         ));
     }
     let kb: KnowledgeBase = facts.iter().copied().collect();
-    (terms, kb, facts)
+    (kb, facts)
 }
 
 fn bench_kb(c: &mut Criterion) {
-    let (mut terms, kb, facts) = build(50_000);
+    let (kb, facts) = build(50_000);
 
     c.bench_function("kb/insert_50k", |b| {
         b.iter(|| {
@@ -40,13 +40,6 @@ fn bench_kb(c: &mut Criterion) {
             }
             hits
         })
-    });
-
-    let pred = terms.intern("pred_3");
-    let value = terms.intern("value_42");
-    c.bench_function("kb/conjunctive_query", |b| {
-        let q = ConjunctiveQuery::new().with_property(pred, value);
-        b.iter(|| black_box(q.count(&kb)))
     });
 }
 

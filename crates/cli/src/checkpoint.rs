@@ -29,6 +29,7 @@ use midas_core::{
 };
 use midas_eval::runner::AugmentationRound;
 use midas_extract::CacheKey;
+use midas_kb::snapshot::MIN_STR_BYTES;
 use midas_kb::{Interner, SectionWriter, Snapshot, SnapshotBuilder, SnapshotError};
 use midas_weburl::SourceUrl;
 use std::io;
@@ -87,6 +88,14 @@ pub fn checkpoint_name(key: u64) -> String {
 fn corrupt(msg: impl Into<String>) -> SnapshotError {
     SnapshotError::Corrupt(msg.into())
 }
+
+/// Smallest encodings of the records whose counts [`load_rounds`] decodes
+/// (see [`midas_kb::SectionReader::fit_count`]). A round with no accepted
+/// slice: round number, accepted flag, five `u64` counters, budget flag
+/// and quarantine count.
+const MIN_ROUND: usize = 4 + 4 + 5 * 8 + 4 + 4;
+/// A slice property: predicate and value strings.
+const MIN_PROPERTY: usize = 2 * MIN_STR_BYTES;
 
 /// Serialises the round trace and writes it atomically (crash site
 /// `ckpt.*`). Strings are resolved through `terms` so the checkpoint is
@@ -276,6 +285,7 @@ pub fn load_rounds(
     }
     let mut r = snap.section(TAG_CKPT)?;
     let n_rounds = r.get_u32("round count")? as usize;
+    let n_rounds = r.fit_count(n_rounds, MIN_ROUND, "round count")?;
     let mut rounds = Vec::with_capacity(n_rounds);
     for _ in 0..n_rounds {
         let round = r.get_u32("round number")? as usize;
@@ -286,6 +296,7 @@ pub fn load_rounds(
                 let source = SourceUrl::parse(&url)
                     .map_err(|e| corrupt(format!("invalid slice url {url:?}: {e}")))?;
                 let n_props = r.get_u32("property count")? as usize;
+                let n_props = r.fit_count(n_props, MIN_PROPERTY, "property count")?;
                 let mut properties = Vec::with_capacity(n_props);
                 for _ in 0..n_props {
                     let p = terms.intern(&r.get_str("property predicate")?);
@@ -293,6 +304,7 @@ pub fn load_rounds(
                     properties.push((p, v));
                 }
                 let n_entities = r.get_u32("entity count")? as usize;
+                let n_entities = r.fit_count(n_entities, MIN_STR_BYTES, "entity count")?;
                 let mut entities = Vec::with_capacity(n_entities);
                 for _ in 0..n_entities {
                     entities.push(terms.intern(&r.get_str("entity")?));
@@ -560,5 +572,136 @@ mod tests {
         assert_ne!(base, checkpoint_key(7, &cost2, &unlimited), "cost model");
         let capped = SourceBudget::unlimited().with_max_facts(100);
         assert_ne!(base, checkpoint_key(7, &cost, &capped), "budget caps");
+    }
+
+    /// Writes a checkpoint whose `CKPT` section `body` writes, followed by
+    /// enough zero padding that a count of one round fits, and returns
+    /// why it fails to load.
+    fn load_error(name: &str, body: impl FnOnce(&mut SectionWriter<'_>)) -> SnapshotError {
+        let path = std::env::temp_dir().join(format!(
+            "midas_ckpt_hostile_{}_{name}.ckpt",
+            std::process::id()
+        ));
+        let mut b = SnapshotBuilder::new(3);
+        let mut w = b.section(TAG_CKPT);
+        body(&mut w);
+        w.put_bytes(&[0; 64]);
+        b.write_atomic(&path).unwrap();
+        let err = load_rounds(&path, 3, &mut Interner::new()).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        err
+    }
+
+    fn assert_corrupt(err: &SnapshotError, needle: &str) {
+        assert!(
+            matches!(err, SnapshotError::Corrupt(m) if m.contains(needle)),
+            "expected corruption mentioning {needle:?}, got: {err}"
+        );
+    }
+
+    /// One round whose accepted slice record starts at its source url.
+    fn accepted_round(w: &mut SectionWriter<'_>, url: &str) {
+        w.put_u32(1); // rounds
+        w.put_u32(1); // round number
+        w.put_u32(1); // accepted
+        w.put_str(url);
+    }
+
+    /// One round with no accepted slice, up to its budget flag.
+    fn idle_round(w: &mut SectionWriter<'_>) {
+        w.put_u32(1); // rounds
+        w.put_u32(1); // round number
+        w.put_u32(0); // accepted
+        for _ in 0..5 {
+            w.put_u64(0); // suggest nanos, suggestions, detects, reused, kb size
+        }
+    }
+
+    /// [`idle_round`] with no budget and one fault, from its stage on.
+    fn faulted_round(w: &mut SectionWriter<'_>) {
+        idle_round(w);
+        w.put_u32(0); // budget flag
+        w.put_u32(1); // faults
+        w.put_str("http://bad.com");
+    }
+
+    #[test]
+    fn hostile_round_count_fails_closed() {
+        let err = load_error("n-rounds", |w| w.put_u32(u32::MAX));
+        assert_corrupt(&err, "round count");
+    }
+
+    #[test]
+    fn hostile_property_count_fails_closed() {
+        let err = load_error("n-props", |w| {
+            accepted_round(w, "http://a.com/x");
+            w.put_u32(u32::MAX);
+        });
+        assert_corrupt(&err, "property count");
+    }
+
+    #[test]
+    fn hostile_entity_count_fails_closed() {
+        let err = load_error("n-entities", |w| {
+            accepted_round(w, "http://a.com/x");
+            w.put_u32(0);
+            w.put_u32(u32::MAX);
+        });
+        assert_corrupt(&err, "entity count");
+    }
+
+    #[test]
+    fn invalid_slice_url_fails_closed() {
+        let err = load_error("url", |w| accepted_round(w, "not a url"));
+        assert_corrupt(&err, "invalid slice url");
+    }
+
+    #[test]
+    fn invalid_accepted_flag_fails_closed() {
+        let err = load_error("accepted", |w| {
+            w.put_u32(1);
+            w.put_u32(1);
+            w.put_u32(2);
+        });
+        assert_corrupt(&err, "invalid accepted flag 2");
+    }
+
+    #[test]
+    fn invalid_budget_flag_fails_closed() {
+        let err = load_error("budget", |w| {
+            idle_round(w);
+            w.put_u32(2);
+        });
+        assert_corrupt(&err, "invalid budget flag 2");
+    }
+
+    #[test]
+    fn invalid_fault_stage_fails_closed() {
+        let err = load_error("stage", |w| {
+            faulted_round(w);
+            w.put_u32(3);
+        });
+        assert_corrupt(&err, "invalid fault stage 3");
+    }
+
+    #[test]
+    fn invalid_breach_kind_fails_closed() {
+        let err = load_error("breach", |w| {
+            faulted_round(w);
+            w.put_u32(0); // stage
+            w.put_u32(2); // budget cause
+            w.put_u32(4);
+        });
+        assert_corrupt(&err, "invalid breach kind 4");
+    }
+
+    #[test]
+    fn invalid_fault_cause_tag_fails_closed() {
+        let err = load_error("cause", |w| {
+            faulted_round(w);
+            w.put_u32(0); // stage
+            w.put_u32(3);
+        });
+        assert_corrupt(&err, "invalid fault cause tag 3");
     }
 }

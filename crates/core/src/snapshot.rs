@@ -22,8 +22,10 @@
 //! structurally sound but inconsistent file surfaces as
 //! [`SnapshotError::Corrupt`], never as a wrong answer.
 
+use midas_kb::snapshot::MIN_STR_BYTES;
 use midas_kb::{
-    Column, Fact, Interner, KnowledgeBase, Snapshot, SnapshotBuilder, SnapshotError, Symbol,
+    Column, Fact, Interner, KnowledgeBase, SectionWriter, Snapshot, SnapshotBuilder, SnapshotError,
+    Symbol,
 };
 use midas_weburl::SourceUrl;
 use std::io;
@@ -51,6 +53,16 @@ pub const TAG_SLICES: u32 = u32::from_le_bytes(*b"SLCS");
 
 const EXTENT_SPARSE: u32 = 0;
 const EXTENT_DENSE: u32 = 1;
+
+/// Smallest encodings of the records whose counts the loaders decode (see
+/// [`midas_kb::SectionReader::fit_count`]). A source: its url and its `u64`
+/// fact count.
+const MIN_SOURCE: usize = MIN_STR_BYTES + 8;
+/// A slice: source url, property and entity counts, two `u64` fact counts
+/// and the `f64` profit.
+const MIN_SLICE: usize = MIN_STR_BYTES + 4 + 4 + 8 + 8 + 8;
+/// A slice property: predicate and value strings.
+const MIN_PROPERTY: usize = 2 * MIN_STR_BYTES;
 
 fn corrupt(msg: impl Into<String>) -> SnapshotError {
     SnapshotError::Corrupt(msg.into())
@@ -82,21 +94,24 @@ pub fn save_corpus(
     kb: &KnowledgeBase,
     tables: &[FactTable],
 ) -> io::Result<()> {
+    assert_eq!(sources.len(), tables.len(), "one prebuilt table per source");
     let kb_facts: Vec<Fact> = kb.iter().collect();
-    write_corpus(path, cache_key, terms, sources, &kb_facts, tables)
+    write_corpus(path, cache_key, terms, sources, &kb_facts, |w| {
+        put_tables(w, tables)
+    })
 }
 
 /// [`save_corpus`] with the KB section given as a raw column (SPO order
-/// when it comes from a [`KnowledgeBase`]; tests pass hostile orders).
+/// when it comes from a [`KnowledgeBase`]) and the tables section written
+/// by `tables`; tests pass hostile columns and sections.
 fn write_corpus(
     path: &Path,
     cache_key: u64,
     terms: &Interner,
     sources: &[SourceFacts],
     kb_facts: &[Fact],
-    tables: &[FactTable],
+    tables: impl FnOnce(&mut SectionWriter<'_>),
 ) -> io::Result<()> {
-    assert_eq!(sources.len(), tables.len(), "one prebuilt table per source");
     let mut b = SnapshotBuilder::new(cache_key);
 
     let mut w = b.section(TAG_META);
@@ -125,7 +140,13 @@ fn write_corpus(
     let mut w = b.section(TAG_KB);
     w.put_column::<Fact>(kb_facts);
 
-    let mut w = b.section(TAG_TABLES);
+    tables(&mut b.section(TAG_TABLES));
+
+    b.write_atomic_labeled(path, "snap")
+}
+
+/// Writes the tables section: one record per source, in source order.
+fn put_tables(w: &mut SectionWriter<'_>, tables: &[FactTable]) {
     for t in tables {
         let n = t.num_entities();
         w.align8();
@@ -160,8 +181,6 @@ fn write_corpus(
             }
         }
     }
-
-    b.write_atomic_labeled(path, "snap")
 }
 
 /// Opens the snapshot at `path`, verifies it was produced from inputs
@@ -190,6 +209,7 @@ pub fn load_corpus(path: &Path, expected_key: u64) -> Result<Corpus, SnapshotErr
     // sync lazily on the first post-load intern. Runs that only resolve
     // symbols never index the table at all.
     let mut r = snap.section(TAG_STRINGS)?;
+    let n_strings = r.fit_count(n_strings, MIN_STR_BYTES, "string count")?;
     let mut dump: Vec<&str> = Vec::with_capacity(n_strings);
     for _ in 0..n_strings {
         dump.push(r.get_str_ref("interner string")?);
@@ -199,6 +219,7 @@ pub fn load_corpus(path: &Path, expected_key: u64) -> Result<Corpus, SnapshotErr
     let in_range = |sym: Symbol| -> bool { sym.index() < n_strings };
 
     let mut r = snap.section(TAG_SOURCES)?;
+    let n_sources = r.fit_count(n_sources, MIN_SOURCE, "source count")?;
     let mut heads: Vec<(SourceUrl, usize)> = Vec::with_capacity(n_sources);
     for _ in 0..n_sources {
         let url = r.get_str("source url")?;
@@ -375,12 +396,14 @@ pub fn load_slices(
     }
     let mut r = snap.section(TAG_SLICES)?;
     let count = r.get_u32("slice count")? as usize;
+    let count = r.fit_count(count, MIN_SLICE, "slice count")?;
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         let url = r.get_str("slice source")?;
         let source = SourceUrl::parse(&url)
             .map_err(|e| corrupt(format!("invalid slice source {url:?}: {e}")))?;
         let n_props = r.get_u32("slice property count")? as usize;
+        let n_props = r.fit_count(n_props, MIN_PROPERTY, "slice property count")?;
         let mut properties = Vec::with_capacity(n_props);
         for _ in 0..n_props {
             let p = terms.intern(&r.get_str("slice predicate")?);
@@ -388,6 +411,7 @@ pub fn load_slices(
             properties.push((p, v));
         }
         let n_entities = r.get_u32("slice entity count")? as usize;
+        let n_entities = r.fit_count(n_entities, MIN_STR_BYTES, "slice entity count")?;
         let mut entities = Vec::with_capacity(n_entities);
         for _ in 0..n_entities {
             entities.push(terms.intern(&r.get_str("slice entity")?));
@@ -542,7 +566,10 @@ mod tests {
         duplicated.insert(1, sorted[0]);
         for (name, column) in [("kb-shuffled", shuffled), ("kb-duplicated", duplicated)] {
             let path = tmp(name);
-            write_corpus(&path, 9, &terms, &sources, &column, &tables).unwrap();
+            write_corpus(&path, 9, &terms, &sources, &column, |w| {
+                put_tables(w, &tables)
+            })
+            .unwrap();
             let err = load_corpus(&path, 9).unwrap_err();
             std::fs::remove_file(&path).ok();
             assert!(
@@ -551,7 +578,10 @@ mod tests {
             );
         }
         let path = tmp("kb-sorted");
-        write_corpus(&path, 9, &terms, &sources, &sorted, &tables).unwrap();
+        write_corpus(&path, 9, &terms, &sources, &sorted, |w| {
+            put_tables(w, &tables)
+        })
+        .unwrap();
         let corpus = load_corpus(&path, 9).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(corpus.kb.iter().collect::<Vec<_>>(), sorted);
@@ -633,5 +663,228 @@ mod tests {
         assert_eq!(fresh.resolve(loaded[0].entities[1]), "Союз");
         assert_eq!(loaded[0].num_facts, 9);
         assert_eq!(loaded[0].profit.to_bits(), slices[0].profit.to_bits());
+    }
+
+    fn assert_corrupt(err: &SnapshotError, needle: &str) {
+        assert!(
+            matches!(err, SnapshotError::Corrupt(m) if m.contains(needle)),
+            "expected corruption mentioning {needle:?}, got: {err}"
+        );
+    }
+
+    /// Writes a corpus through [`write_corpus`] and returns why it fails
+    /// to load.
+    fn corpus_error(
+        name: &str,
+        terms: &Interner,
+        sources: &[SourceFacts],
+        kb_facts: &[Fact],
+        tables: impl FnOnce(&mut SectionWriter<'_>),
+    ) -> SnapshotError {
+        let path = tmp(name);
+        write_corpus(&path, 4, terms, sources, kb_facts, tables).unwrap();
+        let err = load_corpus(&path, 4).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        err
+    }
+
+    /// Writes a hand-built container and returns why it fails to load as
+    /// a corpus.
+    fn built_corpus_error(name: &str, b: SnapshotBuilder) -> SnapshotError {
+        let path = tmp(name);
+        b.write_atomic(&path).unwrap();
+        let err = load_corpus(&path, 4).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        err
+    }
+
+    /// A corpus of one source holding one fact, so its table has one
+    /// entity and one property; the property's extent record is the raw
+    /// words `extent` (kind, length, ids).
+    fn one_fact_extent_error(name: &str, extent: &[u32]) -> SnapshotError {
+        let mut terms = Interner::new();
+        let f = Fact::intern(&mut terms, "Atlas", "sponsor", "NASA");
+        let src = SourceFacts::new(SourceUrl::parse("http://a.com/x").unwrap(), vec![f]);
+        corpus_error(name, &terms, &[src], &[], |w| {
+            w.put_u32(1); // entities
+            w.put_u32(1); // properties
+            w.put_u64(1); // facts
+            w.put_u64(1); // distinct (subject, predicate) pairs
+            w.put_u32(1); // density divisor
+            w.put_u32(1); // flattened properties
+            w.put_column::<Symbol>(&[f.subject]);
+            w.put_column::<u32>(&[0, 1]); // row offsets
+            w.put_column::<u32>(&[0, 1]); // property offsets
+            w.put_column::<PropertyId>(&[0]);
+            w.put_column::<u32>(&[1]); // fact counts
+            w.put_column::<u32>(&[1]); // new counts
+            w.put_column::<Symbol>(&[f.predicate, f.object]);
+            w.put_column::<u32>(extent);
+        })
+    }
+
+    /// Writes a slice report whose section `body` writes, followed by
+    /// enough zero padding that a count of one record fits, and returns
+    /// why it fails to load.
+    fn slices_error(name: &str, body: impl FnOnce(&mut SectionWriter<'_>)) -> SnapshotError {
+        let path = tmp(name);
+        let mut b = SnapshotBuilder::new(6);
+        let mut w = b.section(TAG_SLICES);
+        body(&mut w);
+        w.put_bytes(&[0; 64]);
+        b.write_atomic(&path).unwrap();
+        let err = load_slices(&path, 6, &mut Interner::new()).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        err
+    }
+
+    #[test]
+    fn hostile_string_count_fails_closed() {
+        let mut b = SnapshotBuilder::new(4);
+        let mut w = b.section(TAG_META);
+        w.put_u32(0);
+        w.put_u32(u32::MAX);
+        w.put_u64(0);
+        b.section(TAG_STRINGS);
+        assert_corrupt(&built_corpus_error("n-strings", b), "string count");
+    }
+
+    #[test]
+    fn hostile_source_count_fails_closed() {
+        let mut b = SnapshotBuilder::new(4);
+        let mut w = b.section(TAG_META);
+        w.put_u32(u32::MAX);
+        w.put_u32(0);
+        w.put_u64(0);
+        b.section(TAG_STRINGS);
+        b.section(TAG_SOURCES);
+        assert_corrupt(&built_corpus_error("n-sources", b), "source count");
+    }
+
+    #[test]
+    fn invalid_source_url_fails_closed() {
+        // Rewrite the second source's url in place to one without a
+        // scheme separator, then re-seal the checksum.
+        let (terms, sources, kb, tables) = sample_corpus();
+        let path = tmp("bad-url");
+        save_corpus(&path, 4, &terms, &sources, &kb, &tables).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let url = sources[1].url.as_str().as_bytes();
+        let at: Vec<usize> = (0..bytes.len() - url.len())
+            .filter(|&i| &bytes[i..i + url.len()] == url)
+            .collect();
+        assert_eq!(at.len(), 1, "the url is stored once");
+        bytes[at[0] + 5] = b'_';
+        let body = bytes.len() - 8;
+        let sum = midas_kb::snapshot::checksum(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_corpus(&path, 4).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert_corrupt(&err, "invalid source url");
+    }
+
+    #[test]
+    fn source_fact_out_of_range_fails_closed() {
+        let (terms, mut sources, kb, tables) = sample_corpus();
+        let beyond = Symbol::from_index(terms.len());
+        let f = sources[1].facts[0];
+        sources[1] = SourceFacts::new(
+            sources[1].url.clone(),
+            vec![Fact::new(f.subject, f.predicate, beyond)],
+        );
+        let kb_facts: Vec<Fact> = kb.iter().collect();
+        let err = corpus_error("source-range", &terms, &sources, &kb_facts, |w| {
+            put_tables(w, &tables)
+        });
+        assert_corrupt(&err, "facts unsorted or out of range");
+    }
+
+    #[test]
+    fn kb_fact_out_of_range_fails_closed() {
+        let (terms, sources, kb, tables) = sample_corpus();
+        let beyond = Symbol::from_index(terms.len());
+        let mut kb_facts: Vec<Fact> = kb.iter().collect();
+        kb_facts.push(Fact::new(beyond, beyond, beyond));
+        let err = corpus_error("kb-range", &terms, &sources, &kb_facts, |w| {
+            put_tables(w, &tables)
+        });
+        assert_corrupt(&err, "kb fact symbol out of range");
+    }
+
+    #[test]
+    fn inconsistent_table_fails_closed() {
+        let (terms, sources, kb, mut tables) = sample_corpus();
+        tables[0].total_facts += 1;
+        let kb_facts: Vec<Fact> = kb.iter().collect();
+        let err = corpus_error("table", &terms, &sources, &kb_facts, |w| {
+            put_tables(w, &tables)
+        });
+        assert_corrupt(&err, "inconsistent");
+    }
+
+    #[test]
+    fn property_symbol_out_of_range_fails_closed() {
+        let (terms, sources, kb, mut tables) = sample_corpus();
+        tables[0].catalog.props[0].1 = Symbol::from_index(terms.len());
+        let kb_facts: Vec<Fact> = kb.iter().collect();
+        let err = corpus_error("property-range", &terms, &sources, &kb_facts, |w| {
+            put_tables(w, &tables)
+        });
+        assert_corrupt(&err, "property symbol out of range");
+    }
+
+    #[test]
+    fn extent_larger_than_universe_fails_closed() {
+        let err = one_fact_extent_error("extent-len", &[EXTENT_SPARSE, 2]);
+        assert_corrupt(&err, "extent larger than entity universe");
+    }
+
+    #[test]
+    fn extent_id_out_of_universe_fails_closed() {
+        let err = one_fact_extent_error("extent-id", &[EXTENT_SPARSE, 1, 1]);
+        assert_corrupt(&err, "extent id out of universe");
+    }
+
+    #[test]
+    fn unknown_extent_kind_fails_closed() {
+        let err = one_fact_extent_error("extent-kind", &[7, 1]);
+        assert_corrupt(&err, "unknown extent kind 7");
+    }
+
+    #[test]
+    fn hostile_slice_count_fails_closed() {
+        let err = slices_error("n-slices", |w| w.put_u32(u32::MAX));
+        assert_corrupt(&err, "slice count");
+    }
+
+    #[test]
+    fn hostile_slice_property_count_fails_closed() {
+        let err = slices_error("n-slice-props", |w| {
+            w.put_u32(1);
+            w.put_str("http://a.com/x");
+            w.put_u32(u32::MAX);
+        });
+        assert_corrupt(&err, "slice property count");
+    }
+
+    #[test]
+    fn hostile_slice_entity_count_fails_closed() {
+        let err = slices_error("n-slice-entities", |w| {
+            w.put_u32(1);
+            w.put_str("http://a.com/x");
+            w.put_u32(0);
+            w.put_u32(u32::MAX);
+        });
+        assert_corrupt(&err, "slice entity count");
+    }
+
+    #[test]
+    fn invalid_slice_source_fails_closed() {
+        let err = slices_error("slice-url", |w| {
+            w.put_u32(1);
+            w.put_str("not a url");
+        });
+        assert_corrupt(&err, "invalid slice source");
     }
 }

@@ -6,8 +6,8 @@ use std::fmt;
 /// A single `(subject, predicate, object)` triple with interned terms.
 ///
 /// Facts are `Copy` (12 bytes) and order lexicographically by
-/// `(subject, predicate, object)` symbol index, which is the order the SPO
-/// index stores them in.
+/// `(subject, predicate, object)` symbol index, which is the order a
+/// [`crate::KnowledgeBase`] iterates them in.
 /// `repr(C)` pins the field order so snapshot columns can reinterpret
 /// `[Fact]` from raw bytes (12 bytes, align 4, no padding — see the
 /// `fact_is_small_and_copy` test and `crate::column`).

@@ -1,16 +1,9 @@
 //! Reading and writing triple files.
 //!
-//! Two line-oriented formats are supported:
+//! The format is TSV: `subject \t predicate \t object` with backslash
+//! escapes for tab, newline, and backslash inside terms.
 //!
-//! * **TSV** — `subject \t predicate \t object` with backslash escapes for
-//!   tab, newline, and backslash inside terms. This is the working format of
-//!   the harness (fast, diff-friendly).
-//! * **N-Triples-like** — `<subject> <predicate> <object> .` with `%`-style
-//!   escapes for `<`, `>`, and `%` inside terms. Close enough to RDF
-//!   N-Triples to interoperate with simple tooling, without pulling in an
-//!   RDF dependency.
-//!
-//! Both readers take the whole input as bytes and walk it with the shared
+//! The reader takes the whole input as bytes and walks it with the shared
 //! line layer ([`crate::tokenize::Lines`]): blank lines and `#` comments
 //! are skipped, and a malformed line — a non-UTF-8 one included — is
 //! reported as [`KbError::Parse`] with its line number. Terms are interned
@@ -200,116 +193,6 @@ pub fn read_tsv<R: Read>(mut r: R, terms: &mut Interner) -> Result<Vec<Fact>, Kb
     Ok(merge.finish())
 }
 
-fn escape_nt(term: &str, out: &mut String) {
-    for ch in term.chars() {
-        match ch {
-            '%' => out.push_str("%25"),
-            '<' => out.push_str("%3C"),
-            '>' => out.push_str("%3E"),
-            // The format is line-oriented, so line breaks must not survive
-            // into the output verbatim.
-            '\n' => out.push_str("%0A"),
-            '\r' => out.push_str("%0D"),
-            c => out.push(c),
-        }
-    }
-}
-
-fn unescape_nt(term: &str, line: usize) -> Result<String, KbError> {
-    let mut out = String::with_capacity(term.len());
-    let bytes = term.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            if i + 2 >= bytes.len() {
-                return Err(KbError::Parse {
-                    line,
-                    message: "truncated %-escape".into(),
-                });
-            }
-            let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).map_err(|_| KbError::Parse {
-                line,
-                message: "non-UTF8 %-escape".into(),
-            })?;
-            let byte = u8::from_str_radix(hex, 16).map_err(|_| KbError::Parse {
-                line,
-                message: format!("invalid %-escape %{hex}"),
-            })?;
-            out.push(byte as char);
-            i += 3;
-        } else {
-            // Safe: we advance on char boundaries of the original string.
-            let ch = term[i..].chars().next().expect("in-bounds char");
-            out.push(ch);
-            i += ch.len_utf8();
-        }
-    }
-    Ok(out)
-}
-
-/// Writes facts in the N-Triples-like `<s> <p> <o> .` format.
-pub fn write_ntriples<W: Write>(
-    mut w: W,
-    terms: &Interner,
-    facts: impl IntoIterator<Item = Fact>,
-) -> Result<(), KbError> {
-    let mut buf = String::new();
-    for f in facts {
-        buf.clear();
-        buf.push('<');
-        escape_nt(terms.resolve(f.subject), &mut buf);
-        buf.push_str("> <");
-        escape_nt(terms.resolve(f.predicate), &mut buf);
-        buf.push_str("> <");
-        escape_nt(terms.resolve(f.object), &mut buf);
-        buf.push_str("> .\n");
-        w.write_all(buf.as_bytes())?;
-    }
-    Ok(())
-}
-
-/// Reads N-Triples-like facts, interning terms into `terms`.
-pub fn read_ntriples<R: Read>(mut r: R, terms: &mut Interner) -> Result<Vec<Fact>, KbError> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    let mut out = Vec::new();
-    for (lineno, text) in Lines::new(&bytes) {
-        let parse_error = |message: &str| KbError::Parse {
-            line: lineno,
-            message: message.into(),
-        };
-        let trimmed = text.map_err(|e| parse_error(&e.to_string()))?.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let body = trimmed
-            .strip_suffix('.')
-            .map(str::trim_end)
-            .ok_or_else(|| parse_error("missing terminating '.'"))?;
-        let mut fields = Vec::with_capacity(3);
-        let mut rest = body;
-        for _ in 0..3 {
-            rest = rest.trim_start();
-            let inner = rest
-                .strip_prefix('<')
-                .ok_or_else(|| parse_error("expected '<'-delimited term"))?;
-            let end = inner
-                .find('>')
-                .ok_or_else(|| parse_error("unterminated term (no '>')"))?;
-            fields.push(&inner[..end]);
-            rest = &inner[end + 1..];
-        }
-        if !rest.trim().is_empty() {
-            return Err(parse_error("trailing content after object term"));
-        }
-        let s = unescape_nt(fields[0], lineno)?;
-        let p = unescape_nt(fields[1], lineno)?;
-        let o = unescape_nt(fields[2], lineno)?;
-        out.push(Fact::intern(terms, &s, &p, &o));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,22 +215,6 @@ mod tests {
         write_tsv(&mut buf, &terms, facts.iter().copied()).unwrap();
         let mut terms2 = Interner::new();
         let back = read_tsv(&buf[..], &mut terms2).unwrap();
-        assert_eq!(back.len(), facts.len());
-        for (a, b) in facts.iter().zip(&back) {
-            assert_eq!(terms.resolve(a.subject), terms2.resolve(b.subject));
-            assert_eq!(terms.resolve(a.predicate), terms2.resolve(b.predicate));
-            assert_eq!(terms.resolve(a.object), terms2.resolve(b.object));
-        }
-    }
-
-    #[test]
-    fn ntriples_round_trip_preserves_terms() {
-        let mut terms = Interner::new();
-        let facts = sample_facts(&mut terms);
-        let mut buf = Vec::new();
-        write_ntriples(&mut buf, &terms, facts.iter().copied()).unwrap();
-        let mut terms2 = Interner::new();
-        let back = read_ntriples(&buf[..], &mut terms2).unwrap();
         assert_eq!(back.len(), facts.len());
         for (a, b) in facts.iter().zip(&back) {
             assert_eq!(terms.resolve(a.subject), terms2.resolve(b.subject));
@@ -383,9 +250,9 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
-        let input = b"<a> <b> <c> .\n<\xfe> <b> <c> .\n";
+        let input = b"a\tb\tc\n\xfe\tb\tc\n";
         assert!(matches!(
-            read_ntriples(&input[..], &mut terms),
+            read_tsv(&input[..], &mut terms),
             Err(KbError::Parse { line: 2, .. })
         ));
     }
@@ -427,32 +294,10 @@ mod tests {
     }
 
     #[test]
-    fn ntriples_rejects_missing_dot() {
-        let input = b"<a> <b> <c>\n";
-        let mut terms = Interner::new();
-        assert!(read_ntriples(&input[..], &mut terms).is_err());
-    }
-
-    #[test]
-    fn ntriples_rejects_trailing_garbage() {
-        let input = b"<a> <b> <c> <d> .\n";
-        let mut terms = Interner::new();
-        assert!(read_ntriples(&input[..], &mut terms).is_err());
-    }
-
-    #[test]
-    fn ntriples_handles_crlf_and_comments() {
-        let input = b"# c\r\n<a> <b> <c> .\r\n";
-        let mut terms = Interner::new();
-        let facts = read_ntriples(&input[..], &mut terms).unwrap();
-        assert_eq!(facts.len(), 1);
-    }
-
-    #[test]
     fn parse_errors_carry_line_numbers() {
-        let input = b"<a> <b> <c> .\nbroken line\n";
+        let input = b"a\tb\tc\nbroken line\n";
         let mut terms = Interner::new();
-        match read_ntriples(&input[..], &mut terms).unwrap_err() {
+        match read_tsv(&input[..], &mut terms).unwrap_err() {
             KbError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected error {other:?}"),
         }

@@ -1,20 +1,17 @@
-//! # midas-kb — a dictionary-encoded triple store
+//! # midas-kb — a dictionary-encoded fact store
 //!
 //! This crate is the knowledge-base substrate used by the MIDAS
 //! reproduction (Wang, Dong, Li, Meliou — ICDE 2019). The paper augments an
 //! existing knowledge base (Freebase in the original evaluation) with facts
 //! extracted from the Web; all MIDAS needs from that knowledge base is:
 //!
-//! * fast membership tests (`is this (s, p, o) fact already known?`),
-//! * bulk loading of facts,
-//! * enumeration of subjects / predicates / objects, and
-//! * dataset-level statistics (Figure 7 of the paper).
+//! * fast membership tests (`is this (s, p, o) fact already known?`) and
+//! * bulk loading of facts.
 //!
 //! Facts are RDF-style triples `(subject, predicate, object)`. All terms are
 //! interned into compact [`Symbol`]s so that triples are `Copy` and hash/
-//! compare in a few cycles; the store keeps three permutation indexes
-//! (SPO / POS / OSP) so that every single-term or two-term lookup is a
-//! `BTreeSet` range scan.
+//! compare in a few cycles; the store is one SPO-ordered fact set, and
+//! [`io`] reads and writes it as TSV.
 //!
 //! ```
 //! use midas_kb::{Interner, Fact, KnowledgeBase};
@@ -38,12 +35,10 @@ pub mod crashpoint;
 pub mod error;
 pub mod fact;
 pub mod fnv;
-pub mod index;
 pub mod interner;
 pub mod io;
 pub mod mmap;
 pub mod ontology;
-pub mod query;
 pub mod snapshot;
 pub mod stats;
 pub mod store;
@@ -52,11 +47,9 @@ pub mod tokenize;
 pub use column::{Column, Pod};
 pub use error::KbError;
 pub use fact::Fact;
-pub use index::TripleIndex;
 pub use interner::{Interner, SharedInterner, Symbol};
 pub use mmap::Mmap;
 pub use ontology::{CategoryId, Ontology, PredicateId};
-pub use query::{Condition, ConjunctiveQuery};
 pub use snapshot::{
     write_bytes_atomic, SectionReader, SectionWriter, Snapshot, SnapshotBuilder, SnapshotError,
     SNAPSHOT_VERSION, WRITE_CRASH_STAGES,

@@ -33,6 +33,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MSNP";
 /// cache keys so stale-format snapshots are never even opened as hits.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
+/// The smallest encoding of a string ([`SectionWriter::put_str`]): its
+/// `u32` length prefix. Loaders size [`SectionReader::fit_count`] checks
+/// on counted strings with it.
+pub const MIN_STR_BYTES: usize = 4;
+
 const HEADER_LEN: usize = 4 + 4 + 8 + 4 + 4;
 const DIR_ENTRY_LEN: usize = 4 + 4 + 8 + 8;
 const CHECKSUM_LEN: usize = 8;
@@ -498,6 +503,26 @@ impl<'a> SectionReader<'a> {
         self.end - self.pos
     }
 
+    /// Checks a count decoded from the file against this section, which
+    /// holds the counted items at `min_item_bytes` or more each: at most
+    /// `remaining() / min_item_bytes` of them fit. Call it before the
+    /// count sizes an allocation, so a hostile count fails as
+    /// [`SnapshotError::Corrupt`] instead of aborting the process.
+    pub fn fit_count(
+        &self,
+        count: usize,
+        min_item_bytes: usize,
+        what: &str,
+    ) -> Result<usize, SnapshotError> {
+        if count > self.remaining() / min_item_bytes {
+            return Err(corrupt(format!(
+                "{what} {count} does not fit the {} byte(s) left in the section",
+                self.remaining()
+            )));
+        }
+        Ok(count)
+    }
+
     /// Reads a `u32`.
     pub fn get_u32(&mut self, what: &str) -> Result<u32, SnapshotError> {
         self.need(4, what)?;
@@ -700,6 +725,12 @@ mod tests {
         assert!(snap.section(0x99).is_err());
         let mut s = snap.section(0x10).unwrap();
         assert!(s.get_column::<u32>(64, "too many").is_err());
+        // Section 0x10 holds 16 bytes: four u32 items fit, five do not.
+        assert_eq!(s.fit_count(4, 4, "items").unwrap(), 4);
+        assert!(matches!(
+            s.fit_count(5, 4, "items"),
+            Err(SnapshotError::Corrupt(m)) if m.contains("items 5")
+        ));
     }
 
     #[test]

@@ -3,17 +3,16 @@
 //! [`KnowledgeBase`] is the "existing knowledge base `E`" of the paper's
 //! problem definition (Definition 8). MIDAS only ever asks it membership
 //! questions (`is this extracted fact new?`) and loads facts into it, so the
-//! store is a thin, well-indexed wrapper over [`TripleIndex`].
+//! store is one ordered fact set. [`Fact`] orders by `(subject, predicate,
+//! object)`, so iteration is in SPO order.
 
 use crate::fact::Fact;
-use crate::index::TripleIndex;
-use crate::interner::Symbol;
-use crate::stats::DatasetStats;
+use std::collections::BTreeSet;
 
-/// A set of RDF facts with permutation indexes.
+/// A set of RDF facts, iterated in SPO order.
 #[derive(Debug, Default, Clone)]
 pub struct KnowledgeBase {
-    index: TripleIndex,
+    facts: BTreeSet<Fact>,
 }
 
 impl KnowledgeBase {
@@ -23,40 +22,37 @@ impl KnowledgeBase {
         Self::default()
     }
 
-    /// Builds a knowledge base from `facts` in bulk (see
-    /// [`TripleIndex::from_facts`]). Duplicates collapse.
+    /// Builds a knowledge base from `facts` in bulk: the facts are sorted
+    /// once and the tree built bottom-up (`BTreeSet`'s `FromIterator`), with
+    /// densely packed nodes, instead of by one insert per fact. Duplicates
+    /// collapse; the input order does not matter.
     pub fn from_facts(facts: &[Fact]) -> Self {
         KnowledgeBase {
-            index: TripleIndex::from_facts(facts),
+            facts: facts.iter().copied().collect(),
         }
     }
 
     /// Inserts a fact; returns `true` if it was new.
     pub fn insert(&mut self, f: Fact) -> bool {
-        self.index.insert(f)
+        self.facts.insert(f)
     }
 
     /// Bulk-inserts facts; returns how many were new.
     pub fn extend(&mut self, facts: impl IntoIterator<Item = Fact>) -> usize {
-        facts.into_iter().filter(|&f| self.index.insert(f)).count()
-    }
-
-    /// Removes a fact; returns `true` if it was present.
-    pub fn remove(&mut self, f: &Fact) -> bool {
-        self.index.remove(f)
+        facts.into_iter().filter(|&f| self.facts.insert(f)).count()
     }
 
     /// Whether the knowledge base already contains `f`.
     #[inline]
     pub fn contains(&self, f: &Fact) -> bool {
-        self.index.contains(f)
+        self.facts.contains(f)
     }
 
     /// Whether `f` is *new* with respect to this knowledge base — the
     /// predicate at the heart of the gain function `G(S) = |∪S \ E|`.
     #[inline]
     pub fn is_new(&self, f: &Fact) -> bool {
-        !self.index.contains(f)
+        !self.facts.contains(f)
     }
 
     /// Counts how many of `facts` are absent from the knowledge base.
@@ -66,55 +62,25 @@ impl KnowledgeBase {
 
     /// Number of stored facts.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.facts.len()
     }
 
     /// Whether the knowledge base holds no facts.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.facts.is_empty()
     }
 
     /// Iterates all facts in SPO order.
     pub fn iter(&self) -> impl Iterator<Item = Fact> + '_ {
-        self.index.iter()
-    }
-
-    /// All facts about entity `s`.
-    pub fn facts_for_subject(&self, s: Symbol) -> impl Iterator<Item = Fact> + '_ {
-        self.index.facts_for_subject(s)
-    }
-
-    /// Read access to the underlying permutation indexes.
-    pub fn index(&self) -> &TripleIndex {
-        &self.index
-    }
-
-    /// Distinct predicates stored.
-    pub fn predicates(&self) -> Vec<Symbol> {
-        self.index.predicates()
-    }
-
-    /// Distinct subjects stored.
-    pub fn subjects(&self) -> Vec<Symbol> {
-        self.index.subjects()
-    }
-
-    /// Dataset-level statistics of the stored facts (no URL information at
-    /// this layer; see `midas_extract::Corpus::stats` for the Figure 7 rows).
-    pub fn stats(&self) -> DatasetStats {
-        DatasetStats {
-            num_facts: self.len(),
-            num_predicates: self.index.predicates().len(),
-            num_subjects: self.index.subjects().len(),
-            num_urls: 0,
-        }
+        self.facts.iter().copied()
     }
 }
 
 impl FromIterator<Fact> for KnowledgeBase {
     fn from_iter<I: IntoIterator<Item = Fact>>(iter: I) -> Self {
-        let facts: Vec<Fact> = iter.into_iter().collect();
-        KnowledgeBase::from_facts(&facts)
+        KnowledgeBase {
+            facts: iter.into_iter().collect(),
+        }
     }
 }
 
@@ -122,6 +88,25 @@ impl FromIterator<Fact> for KnowledgeBase {
 mod tests {
     use super::*;
     use crate::interner::Interner;
+
+    fn sample() -> (Interner, KnowledgeBase) {
+        let mut t = Interner::new();
+        let rows = [
+            ("mercury", "category", "space_program"),
+            ("mercury", "started", "1959"),
+            ("mercury", "sponsor", "NASA"),
+            ("gemini", "category", "space_program"),
+            ("gemini", "sponsor", "NASA"),
+            ("atlas", "category", "rocket_family"),
+            ("atlas", "sponsor", "NASA"),
+            ("atlas", "started", "1957"),
+        ];
+        let kb = rows
+            .iter()
+            .map(|(s, p, o)| Fact::intern(&mut t, s, p, o))
+            .collect();
+        (t, kb)
+    }
 
     #[test]
     fn new_fact_detection_drives_gain() {
@@ -155,6 +140,23 @@ mod tests {
     }
 
     #[test]
+    fn insert_is_set_semantics() {
+        let (mut t, mut kb) = sample();
+        let dup = Fact::intern(&mut t, "mercury", "sponsor", "NASA");
+        assert!(!kb.insert(dup));
+        assert_eq!(kb.len(), 8);
+    }
+
+    #[test]
+    fn iter_is_sorted_spo() {
+        let (_, kb) = sample();
+        let facts: Vec<Fact> = kb.iter().collect();
+        let mut sorted = facts.clone();
+        sorted.sort_by_key(|f| (f.subject, f.predicate, f.object));
+        assert_eq!(facts, sorted);
+    }
+
+    #[test]
     fn bulk_build_matches_inserts() {
         let mut t = Interner::new();
         let facts: Vec<Fact> = (0..40)
@@ -174,43 +176,8 @@ mod tests {
         let bulk = KnowledgeBase::from_facts(&facts);
         assert_eq!(bulk.len(), inserted.len());
         assert!(bulk.iter().eq(inserted.iter()));
-        for &f in &facts {
-            assert!(bulk.contains(&f));
-            assert!(bulk
-                .index()
-                .facts_for_predicate(f.predicate)
-                .eq(inserted.index().facts_for_predicate(f.predicate)));
-            assert!(bulk
-                .index()
-                .facts_for_object(f.object)
-                .eq(inserted.index().facts_for_object(f.object)));
-        }
-    }
-
-    #[test]
-    fn remove_round_trips() {
-        let mut t = Interner::new();
-        let f = Fact::intern(&mut t, "x", "y", "z");
-        let mut kb = KnowledgeBase::new();
-        kb.insert(f);
-        assert!(kb.remove(&f));
-        assert!(kb.is_new(&f));
-        assert!(!kb.remove(&f));
-    }
-
-    #[test]
-    fn stats_reflect_contents() {
-        let mut t = Interner::new();
-        let kb: KnowledgeBase = [
-            Fact::intern(&mut t, "a", "p", "1"),
-            Fact::intern(&mut t, "a", "q", "2"),
-            Fact::intern(&mut t, "b", "p", "1"),
-        ]
-        .into_iter()
-        .collect();
-        let s = kb.stats();
-        assert_eq!(s.num_facts, 3);
-        assert_eq!(s.num_predicates, 2);
-        assert_eq!(s.num_subjects, 2);
+        assert!(facts.iter().all(|f| bulk.contains(f)));
+        let collected: KnowledgeBase = facts.iter().rev().copied().collect();
+        assert!(collected.iter().eq(bulk.iter()));
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests of the knowledge-base substrate.
 
-use midas_kb::{ConjunctiveQuery, Fact, Interner, KnowledgeBase};
+use midas_kb::{Fact, Interner, KnowledgeBase};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -40,55 +40,50 @@ proptest! {
         prop_assert_eq!(interner.len(), distinct_words.len());
     }
 
-    /// The three permutation indexes always agree with a reference set.
+    /// The knowledge base answers every question the engine asks exactly
+    /// as a reference `BTreeSet<Fact>` does: bulk loads from unordered
+    /// input with duplicates, single and batch inserts, membership and
+    /// new-fact counts, size, and SPO iteration order.
     #[test]
-    fn index_permutations_agree(triples in proptest::collection::vec(any::<(u8, u8, u8)>(), 0..150)) {
+    fn kb_matches_reference_set(
+        loaded in proptest::collection::vec(any::<(u8, u8, u8)>(), 0..150),
+        added in proptest::collection::vec(any::<(u8, u8, u8)>(), 0..60),
+        probes in proptest::collection::vec(any::<(u8, u8, u8)>(), 0..40),
+    ) {
         let mut terms = Interner::new();
-        let mut kb = KnowledgeBase::new();
-        let mut reference: BTreeSet<Fact> = BTreeSet::new();
-        for &(s, p, o) in &triples {
-            let f = Fact::intern(&mut terms, &format!("s{}", s % 16), &format!("p{}", p % 8), &format!("o{}", o % 16));
-            kb.insert(f);
-            reference.insert(f);
-        }
-        prop_assert_eq!(kb.len(), reference.len());
-        // Subject scans cover exactly the reference facts.
-        let via_subjects: BTreeSet<Fact> = kb
-            .subjects()
-            .into_iter()
-            .flat_map(|s| kb.facts_for_subject(s).collect::<Vec<_>>())
-            .collect();
-        prop_assert_eq!(&via_subjects, &reference);
-        // Predicate scans too.
-        let via_preds: BTreeSet<Fact> = kb
-            .predicates()
-            .into_iter()
-            .flat_map(|p| kb.index().facts_for_predicate(p).collect::<Vec<_>>())
-            .collect();
-        prop_assert_eq!(&via_preds, &reference);
-    }
+        let mut facts = |rows: &[(u8, u8, u8)]| -> Vec<Fact> {
+            rows.iter()
+                .map(|&(s, p, o)| Fact::intern(&mut terms, &format!("s{}", s % 16), &format!("p{}", p % 8), &format!("o{}", o % 16)))
+                .collect()
+        };
+        let (loaded, added, probes) = (facts(&loaded), facts(&added), facts(&probes));
 
-    /// Conjunctive queries match a naive per-entity filter.
-    #[test]
-    fn query_matches_naive_filter(triples in proptest::collection::vec(any::<(u8, u8, u8)>(), 1..120), qp in 0u8..8, qo in 0u8..16) {
-        let mut terms = Interner::new();
-        let mut kb = KnowledgeBase::new();
-        for &(s, p, o) in &triples {
-            kb.insert(Fact::intern(&mut terms, &format!("s{}", s % 16), &format!("p{}", p % 8), &format!("o{}", o % 16)));
+        let mut kb = KnowledgeBase::from_facts(&loaded);
+        let mut reference: BTreeSet<Fact> = loaded.iter().copied().collect();
+        prop_assert_eq!(kb.len(), reference.len());
+        let (one_by_one, batch) = added.split_at(added.len() / 2);
+        for &f in one_by_one {
+            prop_assert_eq!(kb.insert(f), reference.insert(f));
         }
-        let pred = terms.intern(&format!("p{}", qp % 8));
-        let val = terms.intern(&format!("o{}", qo % 16));
-        let q = ConjunctiveQuery::new().with_property(pred, val);
-        let fast: BTreeSet<_> = q.select(&kb).into_iter().collect();
-        let slow: BTreeSet<_> = kb
-            .subjects()
-            .into_iter()
-            .filter(|&s| {
-                kb.facts_for_subject(s)
-                    .any(|f| f.predicate == pred && f.object == val)
-            })
-            .collect();
-        prop_assert_eq!(fast, slow);
+        let fresh = batch.iter().filter(|&&f| reference.insert(f)).count();
+        prop_assert_eq!(kb.extend(batch.iter().copied()), fresh);
+
+        prop_assert_eq!(kb.len(), reference.len());
+        prop_assert_eq!(kb.is_empty(), reference.is_empty());
+        prop_assert!(kb.iter().eq(reference.iter().copied()));
+        for f in &probes {
+            prop_assert_eq!(kb.contains(f), reference.contains(f));
+            prop_assert_eq!(kb.is_new(f), !reference.contains(f));
+        }
+        let absent = probes.iter().filter(|f| !reference.contains(f)).count();
+        prop_assert_eq!(kb.count_new(&probes), absent);
+
+        // Rebuilding from the contents reversed and doubled, in bulk or
+        // by collecting, lands on the same set.
+        let shuffled: Vec<Fact> = reference.iter().rev().chain(&reference).copied().collect();
+        prop_assert!(KnowledgeBase::from_facts(&shuffled).iter().eq(kb.iter()));
+        let collected: KnowledgeBase = shuffled.into_iter().collect();
+        prop_assert!(collected.iter().eq(kb.iter()));
     }
 
     /// See [`tsv_rows_round_trip`].

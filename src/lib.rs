@@ -11,8 +11,8 @@
 //!
 //! ## Crate map
 //!
-//! * [`kb`] — dictionary-encoded triple store (the knowledge base
-//!   substrate): interning, SPO/POS/OSP indexes, N-Triples/TSV IO.
+//! * [`kb`] — dictionary-encoded fact store (the knowledge base
+//!   substrate): interning, one SPO-ordered fact set, TSV IO.
 //! * [`weburl`] — URL normalisation and the multi-granularity source
 //!   hierarchy.
 //! * [`core`] — the paper's contribution: fact tables, slices, the profit

@@ -1,7 +1,7 @@
 //! Integration: persistence round-trips across the kb, extract and core crates.
 
 use midas::extract::synthetic::{generate, SyntheticConfig};
-use midas::kb::io::{read_ntriples, read_tsv, write_ntriples, write_tsv};
+use midas::kb::io::{read_tsv, write_tsv};
 use midas::prelude::*;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,33 +43,9 @@ fn tsv_round_trip_preserves_discovery() {
     }
 }
 
-/// N-Triples round-trip over the running example, cross-format.
+/// Terms with every awkward character survive a TSV round-trip.
 #[test]
-fn ntriples_round_trip_matches_tsv() {
-    let mut terms = Interner::new();
-    let (src, _) = midas::core::fixtures::skyrocket(&mut terms);
-
-    let mut nt = Vec::new();
-    write_ntriples(&mut nt, &terms, src.facts.iter().copied()).unwrap();
-    let mut tsv = Vec::new();
-    write_tsv(&mut tsv, &terms, src.facts.iter().copied()).unwrap();
-
-    let mut t1 = Interner::new();
-    let from_nt = read_ntriples(&nt[..], &mut t1).unwrap();
-    let mut t2 = Interner::new();
-    let from_tsv = read_tsv(&tsv[..], &mut t2).unwrap();
-
-    assert_eq!(from_nt.len(), from_tsv.len());
-    for (a, b) in from_nt.iter().zip(&from_tsv) {
-        assert_eq!(t1.resolve(a.subject), t2.resolve(b.subject));
-        assert_eq!(t1.resolve(a.predicate), t2.resolve(b.predicate));
-        assert_eq!(t1.resolve(a.object), t2.resolve(b.object));
-    }
-}
-
-/// Terms with every awkward character survive both formats.
-#[test]
-fn awkward_terms_survive_both_formats() {
+fn awkward_terms_survive_tsv() {
     let mut terms = Interner::new();
     let nasty = [
         ("tab\there", "new\nline", "back\\slash"),
@@ -81,35 +57,15 @@ fn awkward_terms_survive_both_formats() {
         .map(|&(s, p, o)| Fact::intern(&mut terms, s, p, o))
         .collect();
 
-    for format in ["tsv", "nt"] {
-        let mut buf = Vec::new();
-        match format {
-            "tsv" => write_tsv(&mut buf, &terms, facts.iter().copied()).unwrap(),
-            _ => write_ntriples(&mut buf, &terms, facts.iter().copied()).unwrap(),
-        }
-        let mut t2 = Interner::new();
-        let back = match format {
-            "tsv" => read_tsv(&buf[..], &mut t2).unwrap(),
-            _ => read_ntriples(&buf[..], &mut t2).unwrap(),
-        };
-        assert_eq!(back.len(), facts.len(), "{format}");
-        for (orig, round) in facts.iter().zip(&back) {
-            assert_eq!(
-                terms.resolve(orig.subject),
-                t2.resolve(round.subject),
-                "{format}"
-            );
-            assert_eq!(
-                terms.resolve(orig.predicate),
-                t2.resolve(round.predicate),
-                "{format}"
-            );
-            assert_eq!(
-                terms.resolve(orig.object),
-                t2.resolve(round.object),
-                "{format}"
-            );
-        }
+    let mut buf = Vec::new();
+    write_tsv(&mut buf, &terms, facts.iter().copied()).unwrap();
+    let mut t2 = Interner::new();
+    let back = read_tsv(&buf[..], &mut t2).unwrap();
+    assert_eq!(back.len(), facts.len());
+    for (orig, round) in facts.iter().zip(&back) {
+        assert_eq!(terms.resolve(orig.subject), t2.resolve(round.subject));
+        assert_eq!(terms.resolve(orig.predicate), t2.resolve(round.predicate));
+        assert_eq!(terms.resolve(orig.object), t2.resolve(round.object));
     }
 }
 

@@ -253,3 +253,41 @@ fn editing_inputs_addresses_a_new_snapshot() {
         "old and new snapshots coexist"
     );
 }
+
+/// A checksum-valid slice report whose slice count claims `u32::MAX`
+/// records is refused before the count sizes an allocation: the entry is
+/// quarantined like any damaged one, and the run detects afresh and prints
+/// the uncached report.
+#[test]
+fn hostile_slice_report_is_quarantined() {
+    use midas::core::snapshot::TAG_SLICES;
+    use midas::kb::{Snapshot, SnapshotBuilder};
+
+    let f = Fixture::new("hostile_slices");
+    let cold = run_discover(&f, false);
+    let miss = run_discover(&f, true);
+    assert!(miss.contains("slice cache write:"), "{miss}");
+
+    let cache = f.dir.join("cache");
+    let report = std::fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.to_str().unwrap().ends_with("-slices.snap"))
+        .expect("a slice report was written");
+    let key = Snapshot::open(&report).unwrap().cache_key();
+    let mut hostile = SnapshotBuilder::new(key);
+    hostile.section(TAG_SLICES).put_u32(u32::MAX);
+    hostile.write_atomic(&report).unwrap();
+
+    let fallback = run_discover(&f, true);
+    assert!(
+        fallback.contains("snapshot cache: quarantined") && fallback.contains("slice count"),
+        "hostile report must be quarantined: {fallback}"
+    );
+    assert!(fallback.contains("slice cache write:"), "{fallback}");
+    assert!(cache
+        .join("quarantine")
+        .join(report.file_name().unwrap())
+        .exists());
+    assert_eq!(body(&cold), body(&fallback), "fallback output identical");
+}
