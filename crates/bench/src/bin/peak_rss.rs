@@ -1,15 +1,16 @@
 //! Peak-RSS probe for the streaming shard pipeline.
 //!
-//! Runs the full framework over a ≥200-source synthetic corpus with a given
-//! `--stream-window` and prints one JSON line carrying wall time and the
+//! Runs the full framework over a ≥200-source synthetic corpus at a given
+//! `--threads` and prints one JSON line carrying wall time and the
 //! process's peak resident set size (`VmHWM`). The kernel's high-water mark
-//! is process-wide and monotone, so window configurations must be compared
-//! across *separate processes* — `scripts/bench_smoke.sh` invokes this
-//! binary once per configuration.
+//! is process-wide and monotone, so thread counts must be compared across
+//! *separate processes* — `scripts/bench_smoke.sh` invokes this binary once
+//! per configuration.
 //!
-//! The corpus is shaped so per-shard transient state (fact table and
-//! hierarchy extents) dominates the resident corpus itself: the
-//! window then visibly caps how many shards' state coexists.
+//! Each worker holds one shard's transient state (fact table and hierarchy
+//! extents) at a time and drops it before taking the next. The corpus is
+//! shaped so that per-worker state dominates the resident corpus itself:
+//! peak memory then visibly grows with the worker count.
 
 use criterion::peak_rss_kb;
 use midas_core::{Framework, MidasAlg, MidasConfig, SourceFacts};
@@ -44,7 +45,6 @@ fn corpus(t: &mut Interner, entities: usize) -> Vec<SourceFacts> {
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let mut window: Option<usize> = None;
     let mut threads = 16usize;
     let mut entities = 250usize;
     while let Some(a) = args.next() {
@@ -53,14 +53,11 @@ fn main() {
                 .unwrap_or_else(|| panic!("{name} requires a value"))
         };
         match a.as_str() {
-            "--stream-window" => {
-                window = Some(value("--stream-window").parse().expect("window count"))
-            }
             "--threads" => threads = value("--threads").parse().expect("thread count"),
             "--entities" => entities = value("--entities").parse().expect("entity count"),
             other => panic!(
                 "unknown argument {other:?} \
-                 (usage: peak_rss [--stream-window N] [--threads N] [--entities N])"
+                 (usage: peak_rss [--threads N] [--entities N])"
             ),
         }
     }
@@ -73,23 +70,17 @@ fn main() {
         "corpus too small for a meaningful RSS comparison: {num_sources} sources"
     );
 
-    let config = MidasConfig::running_example()
-        .with_threads(threads)
-        .with_stream_window(window);
+    let config = MidasConfig::running_example().with_threads(threads);
     let alg = MidasAlg::new(config.clone());
-    let fw = Framework::new(&alg, config.cost)
-        .with_threads(threads)
-        .with_stream_window(window);
+    let fw = Framework::new(&alg, config.cost).with_threads(threads);
     let start = Instant::now();
     let report = fw.run(sources, &KnowledgeBase::new());
     let elapsed_ms = start.elapsed().as_millis();
 
     println!(
-        "{{\"bench\":\"peak_rss/window_{}\",\"sources\":{},\"slices\":{},\"threads\":{},\"elapsed_ms\":{},\"peak_rss_kb\":{}}}",
-        window.map_or_else(|| "unbounded".to_owned(), |w| w.to_string()),
+        "{{\"bench\":\"peak_rss/threads_{threads}\",\"sources\":{},\"slices\":{},\"threads\":{threads},\"elapsed_ms\":{},\"peak_rss_kb\":{}}}",
         num_sources,
         report.slices.len(),
-        threads,
         elapsed_ms,
         peak_rss_kb(),
     );

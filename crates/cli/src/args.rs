@@ -51,8 +51,9 @@ PARALLELISM (discover, eval, augment):
   --threads N              worker threads (default 1). The pool first parses
                            the facts and kb files, cut into 1 MiB line-aligned
                            chunks and merged in file order, then runs the
-                           per-source detections. Output is byte-identical at
-                           every N.
+                           per-source detections. Each worker holds one
+                           source's state at a time, so peak memory grows
+                           with N. Output is byte-identical at every N.
 
 CACHING (discover, eval, augment):
   --snapshot-cache DIR     reuse parsed corpora across runs. The facts and kb
@@ -104,10 +105,6 @@ ROBUSTNESS (discover, eval, augment):
   --max-source-nodes N     quarantine a source whose slice hierarchy has more than
                            N canonical slices
   --source-deadline-ms MS  quarantine a source still running after MS milliseconds
-  --stream-window N        admit at most N sources to a round's pool at once
-                           (default: unbounded). Caps peak memory — completed
-                           sources free their state before later ones start —
-                           without changing any result bit.
   Quarantined sources are dropped from the run and listed in a summary; the
   MIDAS_FAULTINJECT environment variable (e.g. `parse@#3,panic@flaky`) injects
   deterministic faults for testing.
@@ -155,8 +152,6 @@ pub struct RunLimits {
     pub max_source_nodes: Option<usize>,
     /// Per-source wall-clock deadline in ms (`--source-deadline-ms`).
     pub source_deadline_ms: Option<u64>,
-    /// Streaming admission window per framework round (`--stream-window`).
-    pub stream_window: Option<usize>,
 }
 
 /// A parsed subcommand.
@@ -349,7 +344,6 @@ fn parse_limits(flags: &mut Flags<'_>) -> Result<RunLimits, CliError> {
         max_source_facts: opt_num(flags, "--max-source-facts")?,
         max_source_nodes: opt_num(flags, "--max-source-nodes")?,
         source_deadline_ms: opt_num(flags, "--source-deadline-ms")?,
-        stream_window: opt_num(flags, "--stream-window")?,
     })
 }
 
@@ -495,11 +489,10 @@ mod tests {
             max_source_facts: Some(5_000),
             max_source_nodes: Some(200_000),
             source_deadline_ms: Some(1_500),
-            stream_window: Some(8),
         };
         let d = ParsedArgs::parse(&argv(
             "discover --facts f.tsv --lenient --max-source-facts 5000 \
-             --max-source-nodes 200000 --source-deadline-ms 1500 --stream-window 8",
+             --max-source-nodes 200000 --source-deadline-ms 1500",
         ))
         .unwrap();
         match d.command {
@@ -508,7 +501,7 @@ mod tests {
         }
         let e = ParsedArgs::parse(&argv(
             "eval --facts f --gold g --lenient --max-source-facts 5000 \
-             --max-source-nodes 200000 --source-deadline-ms 1500 --stream-window 8",
+             --max-source-nodes 200000 --source-deadline-ms 1500",
         ))
         .unwrap();
         match e.command {
@@ -581,7 +574,7 @@ mod tests {
         }
         let p = ParsedArgs::parse(&argv(
             "augment --facts f.tsv --kb k.tsv --rounds 3 --threads 4 \
-             --fp 1 --fc 0.002 --fd 0.02 --fv 0.2 --stream-window 2",
+             --fp 1 --fc 0.002 --fd 0.02 --fv 0.2 --max-source-facts 2",
         ))
         .unwrap();
         match p.command {
@@ -597,7 +590,7 @@ mod tests {
                 assert_eq!(rounds, 3);
                 assert_eq!(threads, 4);
                 assert_eq!(cost, (1.0, 0.002, 0.02, 0.2));
-                assert_eq!(limits.stream_window, Some(2));
+                assert_eq!(limits.max_source_facts, Some(2));
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -708,8 +701,37 @@ mod tests {
 
     #[test]
     fn unknown_flag_errors() {
-        let err = ParsedArgs::parse(&argv("discover --facts f --bogus 3")).unwrap_err();
-        assert!(err.to_string().contains("unrecognised argument"));
+        for cmdline in [
+            "discover --facts f --bogus 3",
+            "discover --facts f --stream-window 4",
+        ] {
+            let err = ParsedArgs::parse(&argv(cmdline)).unwrap_err();
+            assert!(
+                err.to_string().contains("unrecognised argument"),
+                "{cmdline}"
+            );
+        }
+    }
+
+    /// `--threads` is the one concurrency flag: the removed admission window
+    /// is refused by every subcommand that once took it, in any position,
+    /// and the usage text no longer offers it.
+    #[test]
+    fn removed_stream_window_is_refused_by_every_subcommand() {
+        for cmdline in [
+            "discover --stream-window 4 --facts f",
+            "eval --facts f --gold g --stream-window 4",
+            "augment --facts f --threads 2 --stream-window 1",
+        ] {
+            let err = ParsedArgs::parse(&argv(cmdline)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{cmdline}: {err}");
+            assert!(
+                err.to_string().contains("unrecognised argument"),
+                "{cmdline}: {err}"
+            );
+        }
+        assert!(!USAGE.contains("stream-window"));
+        assert!(USAGE.contains("--threads N"));
     }
 
     #[test]

@@ -52,9 +52,9 @@ pub const TAG_CKPT: u32 = u32::from_le_bytes(*b"CKPT");
 pub const CKPT_SITE: &str = "ckpt";
 
 /// Derives the checkpoint key: the corpus key plus every knob that changes
-/// what the augmentation loop computes. Thread count, stream window, and
-/// `--rounds` are deliberately excluded — they affect schedule and stopping
-/// point, not per-round results — so a resume may change them.
+/// what the augmentation loop computes. Thread count and `--rounds` are
+/// deliberately excluded — they affect schedule and stopping point, not
+/// per-round results — so a resume may change them.
 pub fn checkpoint_key(corpus_key: u64, cost: &CostModel, budget: &SourceBudget) -> u64 {
     let mut k = CacheKey::new()
         .part("corpus", &corpus_key.to_le_bytes())

@@ -243,19 +243,17 @@ pub fn run_algorithm(
         threads,
         SourceBudget::unlimited(),
         None,
-        None,
     )
     .0
 }
 
 /// Runs the selected algorithm under a per-source budget, returning ranked
 /// slices plus the quarantine of sources dropped during the run.
-/// `stream_window` bounds how many sources a framework round admits to its
-/// pool at once (`None` = unbounded); it only affects peak memory, never the
-/// result. `tables` carries prebuilt round-0 fact tables from a snapshot
-/// cache; only the MIDAS framework consumes them (the baselines re-merge
-/// sources by domain, so per-page tables cannot be reused).
-#[allow(clippy::too_many_arguments)]
+/// `threads` bounds how many sources a framework round holds in memory at
+/// once; it never changes the result. `tables` carries prebuilt round-0
+/// fact tables from a snapshot cache; only the MIDAS framework consumes
+/// them (the baselines re-merge sources by domain, so per-page tables
+/// cannot be reused).
 pub fn run_algorithm_budgeted(
     algorithm: Algorithm,
     cost: CostModel,
@@ -263,7 +261,6 @@ pub fn run_algorithm_budgeted(
     kb: &KnowledgeBase,
     threads: usize,
     budget: SourceBudget,
-    stream_window: Option<usize>,
     tables: Option<&BTreeMap<SourceUrl, FactTable>>,
 ) -> (Vec<DiscoveredSlice>, Quarantine) {
     match algorithm {
@@ -273,8 +270,7 @@ pub fn run_algorithm_budgeted(
             let cfg = MidasConfig::default()
                 .with_cost(cost)
                 .with_threads(threads)
-                .with_budget(budget)
-                .with_stream_window(stream_window);
+                .with_budget(budget);
             let run = match tables {
                 Some(t) => run_midas_framework_with_tables(&cfg, sources.to_vec(), kb, threads, t),
                 None => run_midas_framework(&cfg, sources.to_vec(), kb, threads),
@@ -354,7 +350,6 @@ fn discover(
                 &kb,
                 threads,
                 budget_from(limits),
-                limits.stream_window,
                 loaded.tables.as_ref(),
             );
             if let Some((key, session)) = &slice_key {
@@ -658,8 +653,7 @@ fn augment(
     let config = MidasConfig::default()
         .with_cost(CostModel { fp, fc, fd, fv })
         .with_threads(threads)
-        .with_budget(budget_from(limits))
-        .with_stream_window(limits.stream_window);
+        .with_budget(budget_from(limits));
     let initial_kb = kb.len();
 
     // Checkpointing needs a cache session. Deadline-budgeted runs are
@@ -851,7 +845,6 @@ fn eval(
         &kb,
         threads,
         budget_from(limits),
-        limits.stream_window,
         loaded.tables.as_ref(),
     );
     let mut quarantine = Quarantine::new();

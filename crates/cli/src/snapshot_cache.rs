@@ -124,8 +124,8 @@ pub fn snapshot_name(key: u64) -> String {
 
 /// Derives the key addressing a cached slice report: the corpus plus every
 /// knob that changes which slices the algorithm reports. Rendering flags
-/// (`--top`, `--csv`, `--explain`) and schedule knobs (`--threads`,
-/// `--stream-window`) are excluded — they do not affect the slice set.
+/// (`--top`, `--csv`, `--explain`) and the schedule knob (`--threads`) are
+/// excluded — they do not affect the slice set.
 pub fn slices_key(corpus_key: u64, algorithm: &str, cost: &CostModel) -> u64 {
     CacheKey::new()
         .part("corpus", &corpus_key.to_le_bytes())

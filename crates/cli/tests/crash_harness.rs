@@ -330,6 +330,36 @@ fn resume_after_crash_is_bit_identical_to_uninterrupted_run() {
     assert_eq!(body(&resumed_again), reference);
 }
 
+/// The checkpoint key leaves the thread count out, so a run checkpointed at
+/// `--threads 2` resumes at `--threads 1` and `--threads 4`: both replay
+/// the durable rounds and print the uninterrupted run's report.
+#[test]
+fn resume_at_another_thread_count_replays_the_checkpoint() {
+    let f = Fixture::new("resume_threads");
+    let fixed = [("MIDAS_FIXED_TIMING", "1")];
+    let reference = body(&run_ok(&f.dir, &AUGMENT, &fixed));
+    let args = with_cache(&AUGMENT, "cache");
+    crash_at(&f, &args, "ckpt.renamed@2");
+
+    for threads in ["1", "4"] {
+        let mut resume_args = args.clone();
+        let at = resume_args.iter().position(|a| a == "--threads").unwrap();
+        resume_args[at + 1] = threads.into();
+        resume_args.push("--resume".into());
+        let argv: Vec<&str> = resume_args.iter().map(String::as_str).collect();
+        let resumed = run_ok(&f.dir, &argv, &fixed);
+        assert!(
+            resumed.contains("resume: replayed"),
+            "--threads {threads} must reuse the checkpoint: {resumed}"
+        );
+        assert_eq!(
+            body(&resumed),
+            reference,
+            "resumed at --threads {threads} must match the uninterrupted run"
+        );
+    }
+}
+
 /// A damaged checkpoint is quarantined and the run restarts cold rather
 /// than trusting replayed rounds — and still matches the reference.
 #[test]

@@ -115,7 +115,6 @@ fn three_fault_run_is_bit_identical_to_clean_seventeen_source_run() {
             threads,
             SourceBudget::unlimited(),
             None,
-            None,
         );
         faultinject::clear();
         assert_eq!(quarantine.len(), 2, "panic + budget victims");

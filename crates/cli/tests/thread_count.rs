@@ -112,3 +112,23 @@ fn several_chunk_input_parses_the_same_at_one_and_four_threads() {
     );
     assert_eq!(m1.counter("pool.tasks"), m4.counter("pool.tasks"));
 }
+
+/// The binary refuses the removed `--stream-window` flag as a usage error
+/// (exit 1, usage text on stderr, nothing on stdout) instead of running.
+#[test]
+fn removed_stream_window_flag_exits_with_a_usage_error() {
+    let corpus = Corpus::kvault("0.01");
+    let out = midas(&corpus.dir)
+        .args(["discover", "--facts", "facts.tsv", "--kb", "kb.tsv"])
+        .args(["--threads", "2", "--stream-window", "4"])
+        .output()
+        .expect("spawn midas discover");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "no report is printed: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unrecognised argument") && stderr.contains("--stream-window"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("USAGE:"), "{stderr}");
+}

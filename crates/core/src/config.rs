@@ -102,11 +102,6 @@ pub struct MidasConfig {
     /// discarded and recorded in the run's [`crate::Quarantine`]; the run
     /// itself always completes.
     pub budget: SourceBudget,
-    /// Bound on the number of shards a framework round admits to its pool at
-    /// once (CLI: `--stream-window`). `None` = unbounded (the whole round in
-    /// flight). Smaller windows cap peak resident memory; reports are
-    /// bit-identical at every window.
-    pub stream_window: Option<usize>,
 }
 
 impl Default for MidasConfig {
@@ -120,7 +115,6 @@ impl Default for MidasConfig {
             always_report_best: false,
             threads: 1,
             budget: SourceBudget::unlimited(),
-            stream_window: None,
         }
     }
 }
@@ -152,9 +146,12 @@ impl MidasConfig {
         self
     }
 
-    /// Sets the framework's streaming admission window (`None` = unbounded).
-    pub fn with_stream_window(mut self, window: Option<usize>) -> Self {
-        self.stream_window = window.map(|w| w.max(1));
+    /// Ignores its argument: a framework round admits its whole task list,
+    /// and [`MidasConfig::threads`] alone bounds how many shards are
+    /// resident. Only `perfbench/tracer` calls this; ROADMAP item 3's
+    /// `[benchmark]` PR removes that call and this method.
+    #[doc(hidden)]
+    pub fn with_stream_window(self, _window: Option<usize>) -> Self {
         self
     }
 }

@@ -19,16 +19,14 @@
 //!
 //! ### Streaming pipeline
 //!
-//! Each round runs as a **bounded streaming pipeline** over
-//! [`crate::parallel::par_map_streamed`]: at most `stream_window` shards are
-//! admitted to the pool at once (configurable via
-//! [`Framework::with_stream_window`], `--stream-window` on the CLI), and
-//! each shard's result is folded into the round state in deterministic input
-//! order the moment its turn completes. Completed shards drop their fact
-//! tables and hierarchies eagerly, so peak resident memory is proportional
-//! to the window, not the corpus. The delivery order — and therefore every
-//! report and quarantine entry — is bit-identical at every
-//! `(window, threads)` combination.
+//! Each round runs as a **streaming pipeline** over
+//! [`crate::parallel::par_map_streamed`]: the round's whole task list is
+//! admitted to the pool, and each shard's result is folded into the round
+//! state in deterministic input order the moment its turn completes. A
+//! worker drops a shard's fact table and hierarchy before it takes the
+//! next, so peak resident memory grows with the worker count (`--threads`),
+//! not the corpus. The delivery order — and therefore every report and
+//! quarantine entry — is bit-identical at every thread count.
 //!
 //! ### Incremental re-runs
 //!
@@ -44,7 +42,7 @@
 //! delta's subjects touch. Clean subtrees see bit-identical inputs, so
 //! replaying their cached outputs is bit-identical to recomputation — the
 //! invariant the `incremental_equivalence` integration suite pins down
-//! across the threads × stream-window matrix.
+//! at every thread count.
 //!
 //! A warm round costs what the delta changed, not the corpus:
 //!
@@ -670,7 +668,6 @@ pub struct Framework<'a, D: SliceDetector> {
     policy: ExportPolicy,
     threads: usize,
     budget: SourceBudget,
-    stream_window: Option<usize>,
 }
 
 impl<'a, D: SliceDetector> Framework<'a, D> {
@@ -682,7 +679,6 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
             policy: ExportPolicy::PositiveOnly,
             threads: 1,
             budget: SourceBudget::unlimited(),
-            stream_window: None,
         }
     }
 
@@ -705,20 +701,13 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
         self
     }
 
-    /// Bounds the number of shards admitted to a round's pool at once
-    /// (`None` = unbounded: the whole round in flight, the pre-streaming
-    /// behaviour). Smaller windows cap peak resident memory — a completed
-    /// shard's fact table and hierarchy are dropped before
-    /// later shards are admitted — at the cost of pipeline slack when shard
-    /// sizes are very uneven. Reports are bit-identical at every window.
-    pub fn with_stream_window(mut self, window: Option<usize>) -> Self {
-        self.stream_window = window.map(|w| w.max(1));
+    /// Ignores its argument: every round admits its whole task list, and
+    /// [`Framework::with_threads`] alone bounds how many shards are resident. Only
+    /// `perfbench/tracer` calls this; ROADMAP item 3's `[benchmark]` PR
+    /// removes that call and this method.
+    #[doc(hidden)]
+    pub fn with_stream_window(self, _window: Option<usize>) -> Self {
         self
-    }
-
-    /// Effective admission window for a round of `n` tasks.
-    fn window_for(&self, n: usize) -> usize {
-        self.stream_window.map_or_else(|| n.max(1), |w| w.max(1))
     }
 
     /// The per-task guard: fault injection hooks, then the up-front
@@ -861,10 +850,10 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
         // pool task. Each executing leaf takes its retained hierarchy out of
         // the cache and runs isolated under the per-source budget; `index`
         // is its position in leaf order (the coordinate fault-injection
-        // plans target). Executing leaves stream through a bounded window,
-        // each result folded into the candidate map as soon as its turn
-        // completes, so only `window` detections' worth of state is ever in
-        // flight.
+        // plans target). Executing leaves stream through the pool, each
+        // result folded into the candidate map as soon as its turn
+        // completes, so only one detection's worth of state per worker is
+        // ever in flight.
         let mut leaf_faults: Vec<(usize, SourceFault)> = Vec::new();
         let mut runs: Vec<LeafRun<'_>> = Vec::new();
         let mut reused = 0usize;
@@ -909,7 +898,6 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
             })),
         }
         let run_index: Vec<usize> = runs.iter().map(|r| r.index).collect();
-        let window = self.window_for(runs.len());
         // New cache entries collect into locals and land in the cache after
         // the round (tasks read the cached tables meanwhile).
         let mut new_tasks: Vec<(usize, CachedTask)> = Vec::new();
@@ -919,7 +907,7 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
         let detect_span = telemetry::span("framework.detect", &metrics::DETECT_NS);
         par_map_streamed(
             self.threads,
-            window,
+            runs.len().max(1),
             runs,
             |LeafRun {
                  index,
@@ -1086,7 +1074,7 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
             drop(shard_span);
 
             // Replay cached shards, then detect + consolidate the rest,
-            // streamed through the bounded window. Tasks borrow the work
+            // streamed through the pool. Tasks borrow the work
             // list so that a faulting parent's child candidates can be
             // recovered in the sink (the clone happens only on that rare
             // fault path).
@@ -1111,14 +1099,13 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
                 }
             }
             let run_index = runs.clone();
-            let window = self.window_for(runs.len());
             let mut new_shards: Vec<(SourceUrl, CachedTask)> = Vec::new();
             let mut executed = 0usize;
             let consolidate_span =
                 telemetry::span("framework.consolidate", &metrics::CONSOLIDATE_NS);
             par_map_streamed(
                 self.threads,
-                window,
+                runs.len().max(1),
                 runs,
                 |wi| -> Vec<Candidate> {
                     let (parent, inputs) = &work[wi];
@@ -1463,29 +1450,6 @@ mod tests {
             assert_eq!(a.source, b.source);
             assert_eq!(a.entities, b.entities);
             assert!((a.profit - b.profit).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn stream_window_never_changes_the_report() {
-        let (_, unbounded) = run_running_example(4);
-        let mut t = Interner::new();
-        let (pages, kb) = skyrocket_pages(&mut t);
-        let alg = MidasAlg::new(MidasConfig::running_example());
-        for window in [1usize, 2, 3] {
-            for threads in [1usize, 4] {
-                let fw = Framework::new(&alg, alg.config.cost)
-                    .with_threads(threads)
-                    .with_stream_window(Some(window));
-                let report = fw.run(pages.clone(), &kb);
-                assert_eq!(report.slices.len(), unbounded.slices.len());
-                for (a, b) in report.slices.iter().zip(&unbounded.slices) {
-                    assert_eq!(a.source, b.source);
-                    assert_eq!(a.entities, b.entities);
-                    assert_eq!(a.profit.to_bits(), b.profit.to_bits());
-                }
-                assert_eq!(report.detect_calls, unbounded.detect_calls);
-            }
         }
     }
 

@@ -144,7 +144,6 @@ impl Augmenter {
         Framework::new(alg, self.config.cost)
             .with_threads(self.threads)
             .with_budget(self.config.budget)
-            .with_stream_window(self.config.stream_window)
     }
 
     /// Runs discovery against the current knowledge base, returning ranked

@@ -13,8 +13,12 @@
 //! both tasks in flight and results buffered for in-order delivery — and
 //! each result is handed to a sink callback in input order as soon as its
 //! turn completes, so the caller can release a shard's state eagerly instead
-//! of holding all `n` results until the round ends. [`par_map_isolated`] is
-//! the window = `n` special case that collects into a vector.
+//! of holding all `n` results until the round ends. Working state is held
+//! only while a task runs, so it is bounded by `threads`; the window bounds
+//! only the results waiting for their turn. The framework's rounds admit
+//! every task (their results are small), and ingest passes `2 × threads` to
+//! bound the parsed chunks awaiting the merge. [`par_map_isolated`] is the
+//! window = `n` special case that collects into a vector.
 //!
 //! The pool is **panic-safe**: every task body runs under `catch_unwind`, so
 //! one misbehaving task cannot unwind the scope and take the other tasks'
@@ -195,11 +199,11 @@ fn finish_slot<R>(index: usize, out: Option<Result<R, FaultCause>>) -> Result<R,
 /// Streaming order-preserving parallel map with a bounded admission window.
 ///
 /// At most `window` items are admitted at once — in flight on a worker or
-/// buffered awaiting in-order delivery — so the caller's peak resident state
-/// is proportional to the window, not to `items.len()`. Each result is
-/// handed to `sink(index, result)` in input order the moment its turn
-/// completes; `sink` runs on the calling thread and is called exactly once
-/// per item, faulted or not.
+/// buffered awaiting in-order delivery — so at most `window` results are
+/// ever held, not `items.len()`, and at most `threads` tasks run. Each
+/// result is handed to `sink(index, result)` in input order the moment its
+/// turn completes; `sink` runs on the calling thread and is called exactly
+/// once per item, faulted or not.
 ///
 /// Every task runs isolated (see [`par_map_isolated`]); deadline handling,
 /// fault conversion, and the sequential fallback — taken for `threads <= 1`,

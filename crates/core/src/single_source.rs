@@ -13,6 +13,7 @@ use crate::traversal::traverse;
 
 mod metrics {
     crate::histogram!(pub TRAVERSAL_NS, "traversal_ns");
+    crate::histogram!(pub TABLE_BUILD_NS, "fact_table.build_ns");
 }
 
 /// The MIDASalg algorithm: bottom-up hierarchy construction with pruning,
@@ -87,7 +88,10 @@ impl MidasAlg {
                 );
                 None
             }
-            None => Some(FactTable::build(source, kb)),
+            None => {
+                let _span = crate::telemetry::span("fact_table.build", &metrics::TABLE_BUILD_NS);
+                Some(FactTable::build(source, kb))
+            }
         };
         let table = given.or(built.as_ref()).expect("a given or built table");
         let ctx = ProfitCtx::new(table, self.config.cost);

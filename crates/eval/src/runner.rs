@@ -148,8 +148,7 @@ pub fn run_midas_framework(
     let alg = MidasAlg::new(config.clone());
     let fw = Framework::new(&alg, config.cost)
         .with_threads(threads)
-        .with_budget(config.budget)
-        .with_stream_window(config.stream_window);
+        .with_budget(config.budget);
     metrics::RUNS.inc();
     let run_span = telemetry::span("eval.run", &metrics::RUN_NS);
     let start = Instant::now();
@@ -177,8 +176,7 @@ pub fn run_midas_framework_with_tables(
     let alg = MidasAlg::new(config.clone());
     let fw = Framework::new(&alg, config.cost)
         .with_threads(threads)
-        .with_budget(config.budget)
-        .with_stream_window(config.stream_window);
+        .with_budget(config.budget);
     metrics::RUNS.inc();
     let run_span = telemetry::span("eval.run", &metrics::RUN_NS);
     let start = Instant::now();

@@ -616,7 +616,10 @@ macro_rules! prop_assert_eq {
 }
 
 /// Declares property tests: each `fn name(arg in strategy, ...) { body }`
-/// becomes a `#[test]` running `config.cases` generated inputs.
+/// becomes a function running `config.cases` generated inputs. As with
+/// crates.io proptest, the function's own attributes — its `#[test]`
+/// included — are passed through unchanged and the macro adds none, so each
+/// property is registered exactly once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -638,7 +641,6 @@ macro_rules! __proptest_impl {
      $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config: $crate::test_runner::ProptestConfig = $cfg;
             let strategy = ($($strat,)+);
@@ -742,6 +744,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// The macro itself: multiple args, trailing comma, doc attr.
+        #[test]
         fn macro_end_to_end(
             xs in crate::collection::vec(any::<(u8, u8)>(), 0..20),
             k in 0u8..5,

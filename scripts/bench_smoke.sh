@@ -6,8 +6,8 @@
 # fields, the latter a machine-speed reference bench_compare.py divides
 # medians by so host contention never reads as a code regression).
 #
-# After the criterion benches it gates, in order: peak RSS under a stream
-# window, warm augmentation rounds against a rebuild, telemetry overhead,
+# After the criterion benches it gates, in order: peak RSS at 8 vs 16
+# worker threads, warm augmentation rounds against a rebuild, telemetry overhead,
 # snapshot-cache warm vs cold, metrics drift, fault-injection quarantine,
 # and resume-vs-rerun bit-identity. A failing gate does not stop the run:
 # every gate runs, each failure is printed when it happens and again in a
@@ -47,22 +47,23 @@ for bench in hierarchy_build profit_eval interning; do
     cargo bench --offline -p midas-bench --bench "$bench"
 done
 
-# Peak-RSS comparison: the streaming window must reduce peak resident
-# memory on a ≥200-source corpus. VmHWM is process-wide and monotone, so
-# each configuration runs in its own process.
+# Peak-RSS comparison: each worker holds one shard's fact table and
+# hierarchy at a time, so halving the worker count must reduce peak
+# resident memory on a ≥200-source corpus. VmHWM is process-wide and
+# monotone, so each configuration runs in its own process.
 echo
-echo "== peak RSS: --stream-window 8 vs unbounded =="
+echo "== peak RSS: --threads 8 vs --threads 16 =="
 cargo build --offline -q --release -p midas-bench --bin peak_rss
-WINDOWED="$(./target/release/peak_rss --stream-window 8)"
-UNBOUNDED="$(./target/release/peak_rss)"
-printf '%s\n%s\n' "$WINDOWED" "$UNBOUNDED" | tee -a "$OUT"
+FEWER="$(./target/release/peak_rss --threads 8)"
+MORE="$(./target/release/peak_rss --threads 16)"
+printf '%s\n%s\n' "$FEWER" "$MORE" | tee -a "$OUT"
 rss_of() { printf '%s' "$1" | sed -n 's/.*"peak_rss_kb":\([0-9]*\).*/\1/p'; }
-W_KB="$(rss_of "$WINDOWED")"
-U_KB="$(rss_of "$UNBOUNDED")"
-if [ "$W_KB" -ge "$U_KB" ]; then
-    gate_failed "peak-RSS smoke FAILED: window 8 ($W_KB KiB) not below unbounded ($U_KB KiB)"
+F_KB="$(rss_of "$FEWER")"
+M_KB="$(rss_of "$MORE")"
+if [ "$F_KB" -ge "$M_KB" ]; then
+    gate_failed "peak-RSS smoke FAILED: 8 threads ($F_KB KiB) not below 16 threads ($M_KB KiB)"
 else
-    echo "peak-RSS smoke OK: window 8 = $W_KB KiB < unbounded = $U_KB KiB"
+    echo "peak-RSS smoke OK: 8 threads = $F_KB KiB < 16 threads = $M_KB KiB"
 fi
 
 # Incremental augmentation loop: every warm round replays the clean

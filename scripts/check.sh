@@ -38,6 +38,28 @@ assert total > 0, "no span events captured"
 print(f"trace OK: {total} span events across {len(sys.argv) - 1} file(s)")
 EOF
 
+# Registration lane: no test binary may list the same test name twice
+# (a macro that adds `#[test]` on top of the item's own one runs each case
+# twice). Binaries may share names with each other, so the listing is
+# split per binary on libtest's "N tests, M benchmarks" summary line, which
+# `-q` would suppress.
+echo "== duplicate test registrations =="
+cargo test --offline -- --list 2>/dev/null | python3 -c '
+import collections, re, sys
+binaries, names, dupes = 0, [], []
+for line in sys.stdin:
+    line = line.rstrip("\n")
+    if re.fullmatch(r"\d+ tests?, \d+ benchmarks?", line):
+        binaries += 1
+        dupes += [n for n, c in collections.Counter(names).items() if c > 1]
+        names = []
+    elif line.endswith(": test"):
+        names.append(line[: -len(": test")])
+assert binaries > 0, "no test binary listed"
+assert not dupes, "registered twice in one binary: " + ", ".join(sorted(dupes))
+print(f"registrations OK: {binaries} test binaries, no name listed twice")
+'
+
 echo "== cargo test =="
 cargo test -q --offline
 

@@ -1,8 +1,8 @@
 //! Incremental-vs-rebuild equivalence: at every round of the augmentation
 //! loop, `Augmenter::suggest` (cached, dirty-subtree re-runs only) must be
 //! bit-identical — slices *and* quarantine — to a from-scratch
-//! `Framework::run` on the same knowledge-base state, across the
-//! threads × stream-window matrix, clean and with injected faults.
+//! `Framework::run` on the same knowledge-base state, at every thread count,
+//! clean and with injected faults.
 //!
 //! The fault-injection plan is process-global, so tests that install one
 //! serialise on [`PLAN_LOCK`] (this file is its own test binary).
@@ -73,13 +73,6 @@ fn multi_vertical_corpus(t: &mut Interner) -> Vec<SourceFacts> {
     sources
 }
 
-fn config_for(window: Option<usize>) -> MidasConfig {
-    MidasConfig {
-        stream_window: window,
-        ..MidasConfig::running_example()
-    }
-}
-
 /// Slices bit-identical and quarantine entry-for-entry identical. The
 /// execution counters intentionally differ (`detect_calls` counts only
 /// executed tasks on the incremental side), so they are not compared.
@@ -115,11 +108,15 @@ struct RoundTrace {
     quarantined: usize,
 }
 
-/// Drives the augmentation loop at one (threads, window) cell, asserting
-/// incremental == fresh every round, and returns the accepted-round trace.
-fn drive_loop(corpus: &[SourceFacts], threads: usize, window: Option<usize>) -> Vec<RoundTrace> {
-    let mut aug = Augmenter::new(config_for(window), corpus.to_vec(), KnowledgeBase::new())
-        .with_threads(threads);
+/// Drives the augmentation loop at one thread count, asserting incremental
+/// == fresh every round, and returns the accepted-round trace.
+fn drive_loop(corpus: &[SourceFacts], threads: usize) -> Vec<RoundTrace> {
+    let mut aug = Augmenter::new(
+        MidasConfig::running_example(),
+        corpus.to_vec(),
+        KnowledgeBase::new(),
+    )
+    .with_threads(threads);
     let mut trace = Vec::new();
     for round in 0..20 {
         let fresh = aug.suggest_fresh();
@@ -172,27 +169,24 @@ fn drive_loop(corpus: &[SourceFacts], threads: usize, window: Option<usize>) -> 
     trace
 }
 
-const WINDOWS: [Option<usize>; 2] = [Some(1), None];
 const THREADS: [usize; 2] = [1, 4];
 
-/// Clean corpus: ≥3 augmentation rounds, every cell matching the sequential
-/// unbounded reference round for round.
+/// Clean corpus: ≥3 augmentation rounds, every thread count matching the
+/// sequential reference round for round.
 #[test]
 fn clean_loop_is_incremental_invariant() {
     let _session = plan_session();
     let mut t = Interner::new();
     let corpus = multi_vertical_corpus(&mut t);
-    let reference = drive_loop(&corpus, 1, None);
+    let reference = drive_loop(&corpus, 1);
     assert!(
         reference.len() >= 3,
         "corpus must take ≥3 rounds to saturate: {reference:?}"
     );
     assert!(reference.iter().all(|r| r.quarantined == 0));
-    for window in WINDOWS {
-        for threads in THREADS {
-            let trace = drive_loop(&corpus, threads, window);
-            assert_eq!(trace, reference, "cell ({threads}, {window:?}) diverged");
-        }
+    for threads in THREADS {
+        let trace = drive_loop(&corpus, threads);
+        assert_eq!(trace, reference, "{threads} threads diverged");
     }
 }
 
@@ -234,78 +228,80 @@ fn quarantined_leaf_drops_warm_hierarchy_and_rebuilds_cold() {
     let target_source = corpus[slot].url.clone();
 
     for threads in THREADS {
-        for window in WINDOWS {
-            let mut aug = Augmenter::new(config_for(window), corpus.clone(), KnowledgeBase::new())
-                .with_threads(threads);
+        let mut aug = Augmenter::new(
+            MidasConfig::running_example(),
+            corpus.clone(),
+            KnowledgeBase::new(),
+        )
+        .with_threads(threads);
 
-            // Phase 1 — clean round: every leaf succeeds and retains its
-            // hierarchy; accepting the top slice (the richest vertical,
-            // domain0) dirties the target page for phase 2.
-            let r1 = aug.suggest_report();
-            assert_round_identical(&r1, &aug.suggest_fresh());
-            assert_eq!(aug.warm_hierarchies(), n_leaves);
-            let best = r1
-                .slices
-                .into_iter()
-                .find(|s| s.profit > 0.0)
-                .expect("phase 1 suggests the domain0 vertical");
-            assert!(
-                best.source.as_str().contains("domain0"),
-                "richest vertical first: {best:?}"
-            );
-            aug.accept(&best);
+        // Phase 1 — clean round: every leaf succeeds and retains its
+        // hierarchy; accepting the top slice (the richest vertical,
+        // domain0) dirties the target page for phase 2.
+        let r1 = aug.suggest_report();
+        assert_round_identical(&r1, &aug.suggest_fresh());
+        assert_eq!(aug.warm_hierarchies(), n_leaves);
+        let best = r1
+            .slices
+            .into_iter()
+            .find(|s| s.profit > 0.0)
+            .expect("phase 1 suggests the domain0 vertical");
+        assert!(
+            best.source.as_str().contains("domain0"),
+            "richest vertical first: {best:?}"
+        );
+        aug.accept(&best);
 
-            // Phase 2 — the dirty target leaf panics mid-round. Its warm
-            // hierarchy must be dropped (quarantined sources never keep warm
-            // state), and the report must still match a fresh rebuild under
-            // the same plan.
-            faultinject::install(FaultPlan::parse(&format!("panic@{target_url}")).unwrap());
-            let r2 = aug.suggest_report();
-            let f2 = aug.suggest_fresh();
-            faultinject::clear();
-            assert_round_identical(&r2, &f2);
-            assert_eq!(r2.quarantine.len(), 1, "exactly the target is dropped");
-            assert_eq!(
-                aug.warm_hierarchies(),
-                n_leaves - 1,
-                "the quarantined leaf's hierarchy must be dropped"
-            );
-            assert!(
-                r2.hierarchies_reused > 0,
-                "the other dirty domain0 pages still warm-patch"
-            );
+        // Phase 2 — the dirty target leaf panics mid-round. Its warm
+        // hierarchy must be dropped (quarantined sources never keep warm
+        // state), and the report must still match a fresh rebuild under
+        // the same plan.
+        faultinject::install(FaultPlan::parse(&format!("panic@{target_url}")).unwrap());
+        let r2 = aug.suggest_report();
+        let f2 = aug.suggest_fresh();
+        faultinject::clear();
+        assert_round_identical(&r2, &f2);
+        assert_eq!(r2.quarantine.len(), 1, "exactly the target is dropped");
+        assert_eq!(
+            aug.warm_hierarchies(),
+            n_leaves - 1,
+            "the quarantined leaf's hierarchy must be dropped"
+        );
+        assert!(
+            r2.hierarchies_reused > 0,
+            "the other dirty domain0 pages still warm-patch"
+        );
 
-            // Phase 3 — fault gone; dirty exactly the target leaf again by
-            // accepting its private spare vertical (those entities live only
-            // on this page). It re-executes with no warm hierarchy (dropped
-            // in phase 2) and rebuilds cold.
-            let step = aug.accept(&DiscoveredSlice {
-                source: target_source.clone(),
-                properties: Vec::new(),
-                entities: spare_entities.clone(),
-                num_facts: spare_count,
-                num_new_facts: spare_count,
-                profit: 1.0,
-            });
-            assert!(step.facts_added > 0, "the target still had unknown facts");
-            let r3 = aug.suggest_report();
-            let f3 = aug.suggest_fresh();
-            assert_round_identical(&r3, &f3);
-            assert!(
-                r3.quarantine.is_empty(),
-                "no plan, no quarantine: {:?}",
-                r3.quarantine
-            );
-            assert_eq!(
-                r3.hierarchies_reused, 0,
-                "the only dirty leaf rebuilds cold, not warm"
-            );
-            assert_eq!(
-                aug.warm_hierarchies(),
-                n_leaves,
-                "the cold rebuild re-retains the target's hierarchy"
-            );
-        }
+        // Phase 3 — fault gone; dirty exactly the target leaf again by
+        // accepting its private spare vertical (those entities live only
+        // on this page). It re-executes with no warm hierarchy (dropped
+        // in phase 2) and rebuilds cold.
+        let step = aug.accept(&DiscoveredSlice {
+            source: target_source.clone(),
+            properties: Vec::new(),
+            entities: spare_entities.clone(),
+            num_facts: spare_count,
+            num_new_facts: spare_count,
+            profit: 1.0,
+        });
+        assert!(step.facts_added > 0, "the target still had unknown facts");
+        let r3 = aug.suggest_report();
+        let f3 = aug.suggest_fresh();
+        assert_round_identical(&r3, &f3);
+        assert!(
+            r3.quarantine.is_empty(),
+            "no plan, no quarantine: {:?}",
+            r3.quarantine
+        );
+        assert_eq!(
+            r3.hierarchies_reused, 0,
+            "the only dirty leaf rebuilds cold, not warm"
+        );
+        assert_eq!(
+            aug.warm_hierarchies(),
+            n_leaves,
+            "the cold rebuild re-retains the target's hierarchy"
+        );
     }
 }
 
@@ -324,18 +320,16 @@ fn telemetry_active_loop_is_incremental_invariant() {
     let corpus = multi_vertical_corpus(&mut t);
     // Reference first, telemetry untouched — matching the suites' usual
     // runs — then the same cells with recording force-enabled.
-    let reference = drive_loop(&corpus, 1, None);
+    let reference = drive_loop(&corpus, 1);
     assert!(reference.len() >= 3);
     telemetry::enable();
     let before = telemetry::snapshot();
-    for window in WINDOWS {
-        for threads in THREADS {
-            let trace = drive_loop(&corpus, threads, window);
-            assert_eq!(
-                trace, reference,
-                "cell ({threads}, {window:?}) diverged with telemetry on"
-            );
-        }
+    for threads in THREADS {
+        let trace = drive_loop(&corpus, threads);
+        assert_eq!(
+            trace, reference,
+            "{threads} threads diverged with telemetry on"
+        );
     }
     let after = telemetry::snapshot();
     assert!(after.dominates(&before), "counters regressed mid-loop");
@@ -349,9 +343,9 @@ fn telemetry_active_loop_is_incremental_invariant() {
 }
 
 /// With a round-0 panic and a budget exhaustion injected (by sorted source
-/// index), every cell still matches its from-scratch rebuild at every round
-/// and reproduces the same quarantine — cached fault outcomes replay
-/// exactly like recomputed ones.
+/// index), every thread count still matches its from-scratch rebuild at
+/// every round and reproduces the same quarantine — cached fault outcomes
+/// replay exactly like recomputed ones.
 #[test]
 fn faulted_loop_is_incremental_invariant() {
     let _session = plan_session();
@@ -360,7 +354,7 @@ fn faulted_loop_is_incremental_invariant() {
     let plan = FaultPlan::parse("panic@#2,budget@#9").unwrap();
 
     faultinject::install(plan.clone());
-    let reference = drive_loop(&corpus, 1, None);
+    let reference = drive_loop(&corpus, 1);
     faultinject::clear();
     assert!(
         reference.len() >= 3,
@@ -371,12 +365,10 @@ fn faulted_loop_is_incremental_invariant() {
         "both injected faults fire every round: {reference:?}"
     );
 
-    for window in WINDOWS {
-        for threads in THREADS {
-            faultinject::install(plan.clone());
-            let trace = drive_loop(&corpus, threads, window);
-            faultinject::clear();
-            assert_eq!(trace, reference, "cell ({threads}, {window:?}) diverged");
-        }
+    for threads in THREADS {
+        faultinject::install(plan.clone());
+        let trace = drive_loop(&corpus, threads);
+        faultinject::clear();
+        assert_eq!(trace, reference, "{threads} threads diverged");
     }
 }

@@ -1,7 +1,6 @@
-//! Streaming-window equivalence: the framework's report — slices *and*
-//! quarantine — is bit-identical across every `--stream-window` × thread
-//! count combination, with and without injected faults. The window may only
-//! change peak memory, never a result bit.
+//! Streaming equivalence: the framework's report — slices *and* quarantine —
+//! is bit-identical at every thread count, with and without injected faults.
+//! The worker count may only change peak memory, never a result bit.
 //!
 //! The fault-injection plan is process-global, so tests that install one
 //! serialise on [`PLAN_LOCK`] (this file is its own test binary).
@@ -71,15 +70,10 @@ fn twenty_source_corpus(t: &mut Interner) -> Vec<SourceFacts> {
     sources
 }
 
-fn run_with(
-    sources: Vec<SourceFacts>,
-    threads: usize,
-    window: Option<usize>,
-) -> midas::core::FrameworkReport {
+fn run_with(sources: Vec<SourceFacts>, threads: usize) -> midas::core::FrameworkReport {
     let alg = MidasAlg::new(MidasConfig::running_example());
     Framework::new(&alg, alg.config.cost)
         .with_threads(threads)
-        .with_stream_window(window)
         .run(sources, &KnowledgeBase::new())
 }
 
@@ -110,72 +104,65 @@ fn assert_reports_identical(a: &midas::core::FrameworkReport, b: &midas::core::F
     assert_eq!(a.detect_calls, b.detect_calls);
 }
 
-const WINDOWS: [Option<usize>; 3] = [Some(1), Some(4), None];
 const THREADS: [usize; 3] = [1, 4, 8];
 
-/// Clean corpus: every (window, threads) cell reproduces the sequential
-/// unbounded reference bit for bit.
+/// Clean corpus: every thread count reproduces the sequential reference bit
+/// for bit.
 #[test]
-fn clean_run_is_window_invariant() {
+fn clean_run_is_thread_invariant() {
     let _session = plan_session();
     let mut t = Interner::new();
     let corpus = twenty_source_corpus(&mut t);
-    let reference = run_with(corpus.clone(), 1, None);
+    let reference = run_with(corpus.clone(), 1);
     assert!(!reference.slices.is_empty());
     assert!(reference.quarantine.is_empty());
-    for window in WINDOWS {
-        for threads in THREADS {
-            let report = run_with(corpus.clone(), threads, window);
-            assert_reports_identical(&report, &reference);
-        }
+    for threads in THREADS {
+        let report = run_with(corpus.clone(), threads);
+        assert_reports_identical(&report, &reference);
     }
 }
 
 /// With a round-0 panic and a budget exhaustion injected (by sorted source
-/// index), every cell quarantines the same two sources and reports the same
-/// surviving slices.
+/// index), every thread count quarantines the same two sources and reports
+/// the same surviving slices.
 #[test]
-fn faulted_run_is_window_invariant() {
+fn faulted_run_is_thread_invariant() {
     let _session = plan_session();
     let mut t = Interner::new();
     let corpus = twenty_source_corpus(&mut t);
     let plan = FaultPlan::parse("panic@#2,budget@#7").unwrap();
 
     faultinject::install(plan.clone());
-    let reference = run_with(corpus.clone(), 1, None);
+    let reference = run_with(corpus.clone(), 1);
     faultinject::clear();
     assert_eq!(reference.quarantine.len(), 2);
 
-    for window in WINDOWS {
-        for threads in THREADS {
-            faultinject::install(plan.clone());
-            let report = run_with(corpus.clone(), threads, window);
-            faultinject::clear();
-            assert_reports_identical(&report, &reference);
-        }
+    for threads in THREADS {
+        faultinject::install(plan.clone());
+        let report = run_with(corpus.clone(), threads);
+        faultinject::clear();
+        assert_reports_identical(&report, &reference);
     }
 }
 
 /// With metric recording (and, when the environment sets `MIDAS_TRACE`,
-/// span streaming) active, every cell still reproduces the untraced
+/// span streaming) active, every thread count still reproduces the untraced
 /// reference bit for bit, the registry's counters only ever grow, and the
 /// folded snapshot survives a JSON round-trip. `scripts/check.sh` runs this
 /// whole binary again under `MIDAS_TRACE=spans:…` + `MIDAS_TELEMETRY=1`,
 /// so each assertion above also holds with the trace sink live.
 #[test]
-fn telemetry_active_run_is_window_invariant() {
+fn telemetry_active_run_is_thread_invariant() {
     use midas::core::telemetry;
     let _session = plan_session();
     telemetry::enable();
     let mut t = Interner::new();
     let corpus = twenty_source_corpus(&mut t);
-    let reference = run_with(corpus.clone(), 1, None);
+    let reference = run_with(corpus.clone(), 1);
     let before = telemetry::snapshot();
-    for window in WINDOWS {
-        for threads in THREADS {
-            let report = run_with(corpus.clone(), threads, window);
-            assert_reports_identical(&report, &reference);
-        }
+    for threads in THREADS {
+        let report = run_with(corpus.clone(), threads);
+        assert_reports_identical(&report, &reference);
     }
     let after = telemetry::snapshot();
     assert!(after.dominates(&before), "counters regressed mid-run");
@@ -194,23 +181,22 @@ fn telemetry_active_run_is_window_invariant() {
 
 /// Merge-round (consolidate-stage) faults: a fact cap between leaf and
 /// section size quarantines every parent task; the recovered child
-/// candidates are identical at every window.
+/// candidates are identical at every thread count.
 #[test]
-fn consolidate_faults_are_window_invariant() {
+fn consolidate_faults_are_thread_invariant() {
     let _session = plan_session();
     let mut t = Interner::new();
     let pages = vertical_pages(&mut t, "http://site.example/dir", "rocket", 6, 4);
     let leaf_size = pages[0].len();
     let alg = MidasAlg::new(MidasConfig::running_example());
 
-    let run = |threads: usize, window: Option<usize>| {
+    let run = |threads: usize| {
         Framework::new(&alg, alg.config.cost)
             .with_threads(threads)
-            .with_stream_window(window)
             .with_budget(SourceBudget::unlimited().with_max_facts(leaf_size + 1))
             .run(pages.clone(), &KnowledgeBase::new())
     };
-    let reference = run(1, None);
+    let reference = run(1);
     assert!(!reference.quarantine.is_empty());
     assert!(reference
         .quarantine
@@ -218,9 +204,7 @@ fn consolidate_faults_are_window_invariant() {
         .all(|f| f.stage == Stage::Consolidate));
     assert_eq!(reference.slices.len(), 6, "page slices survive");
 
-    for window in WINDOWS {
-        for threads in THREADS {
-            assert_reports_identical(&run(threads, window), &reference);
-        }
+    for threads in THREADS {
+        assert_reports_identical(&run(threads), &reference);
     }
 }
