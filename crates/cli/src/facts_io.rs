@@ -4,28 +4,34 @@
 //! * kb: `subject \t predicate \t object` (records parsed by `midas_kb::io`)
 //! * gold: `url \t slice_id \t entity`
 //!
-//! **One ingest path.** A facts or KB file is read as bytes — memory-mapped
-//! when it is a regular file ([`map_input`]) — and cut into line-aligned
-//! chunks of a fixed size ([`midas_kb::tokenize::chunks`]). The chunks are
-//! parsed on the worker pool with the run's `--threads`
-//! ([`parallel::par_map_streamed`]); each yields a chunk-local dictionary in
+//! **One ingest path.** A facts or KB file, a pipe and an in-memory `&[u8]`
+//! all go through one reader ([`midas_kb::tokenize::ChunkReader`]): the
+//! calling thread reads the input sequentially into owned, line-aligned
+//! chunks of a fixed size, carrying each chunk's partial last line over to
+//! the next. The chunks are parsed on the worker pool with the run's
+//! `--threads` ([`parallel::par_map_streamed`]), which pulls the next chunk
+//! only when its window of `2 × threads` has room, so at most that many
+//! chunks (plus the one being read) are in memory, whatever the file's
+//! size. Each chunk yields a chunk-local dictionary that owns its terms, in
 //! first-occurrence order, `[u32; 3]` id triples, the runs of consecutive
-//! records that share a URL, and its faults. The calling thread merges the
-//! chunks in file order as they arrive, interning each dictionary in
-//! order, so every term gets the symbol of its first occurrence in the
-//! file — the ids a line-by-line reader assigns — at every thread count.
-//! The pool's admission window bounds how many parsed chunks wait for the
-//! merge.
+//! records that share a URL, and its faults; the worker then frees the raw
+//! bytes. The calling thread merges the chunks in file order as they
+//! arrive, interning each dictionary in order, so every term gets the
+//! symbol of its first occurrence in the file — the ids a line-by-line
+//! reader assigns — at every thread count.
+//!
+//! A regular file is read up to the length it had when it was opened
+//! (`Input`); a file that shrinks meanwhile is an I/O error, not a
+//! shorter corpus.
 //!
 //! A malformed record — a wrong field count, a bad URL, bytes that are not
 //! UTF-8 — is a fault at its file line. [`Ingest::Strict`] fails on the
 //! first fault in file order; [`Ingest::Lenient`] quarantines each faulty
 //! line as a [`SourceFault`] and keeps the rest of the file.
 //!
-//! [`read_facts`] and [`read_kb`] take a reader, read it to the end and
-//! run the same path on one thread. The gold reader
-//! keeps its own field syntax but shares the line layer
-//! ([`midas_kb::tokenize::Lines`]).
+//! [`read_facts`] and [`read_kb`] take a reader and run the same path on
+//! one thread. The gold reader keeps its own field syntax but shares the
+//! chunk reader and the line layer ([`midas_kb::tokenize::Lines`]).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -34,13 +40,13 @@ use midas_core::{faultinject, parallel, telemetry};
 use midas_core::{FaultCause, SourceFacts, SourceFault, Stage};
 use midas_extract::GoldSlice;
 use midas_kb::io::{parse_tsv_chunk, TsvMerge};
-use midas_kb::tokenize::{self, Dict, Lines, CHUNK_BYTES};
-use midas_kb::{Fact, Interner, KnowledgeBase, Mmap, Symbol};
+use midas_kb::tokenize::{ChunkReader, Dict, Lines, CHUNK_BYTES};
+use midas_kb::{Fact, Interner, KnowledgeBase, Symbol};
 use midas_weburl::SourceUrl;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Take, Write};
 
 /// Ingest timings: one span per parsed chunk (on the pool), one per merged
 /// chunk (on the calling thread), and one around the KB's bulk build.
@@ -63,45 +69,96 @@ pub enum Ingest<'a> {
     },
 }
 
-/// Maps an input file read-only. A regular file is memory-mapped; anything
-/// else (a pipe, a character device) has no length to map and is read to
-/// the end instead.
-pub fn map_input(path: &str) -> std::io::Result<Mmap> {
-    let mut file = File::open(path)?;
-    if file.metadata()?.is_file() {
-        Mmap::map_file(&file)
-    } else {
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        Ok(Mmap::from_vec(bytes))
+/// An input file, opened once for every pass a run makes over it.
+pub(crate) enum Input {
+    /// A regular file, with its length when it was opened. Every pass
+    /// reads that many bytes from the start of the same open file, so a
+    /// rename that replaces the path meanwhile cannot mix two files.
+    File {
+        /// The open file.
+        file: File,
+        /// Its length when it was opened.
+        len: u64,
+    },
+    /// Anything else (a pipe, a character device): no length, and only one
+    /// pass can read it.
+    Stream(File),
+    /// A stream read to the end, so that more than one pass can read it.
+    Bytes(Vec<u8>),
+}
+
+impl Input {
+    /// Opens `path`.
+    pub(crate) fn open(path: &str) -> io::Result<Input> {
+        let file = File::open(path)?;
+        let meta = file.metadata()?;
+        Ok(if meta.is_file() {
+            Input::File {
+                len: meta.len(),
+                file,
+            }
+        } else {
+            Input::Stream(file)
+        })
+    }
+
+    /// A reader over the whole input, from its start.
+    pub(crate) fn reader(&self) -> io::Result<Box<dyn Read + '_>> {
+        Ok(match self {
+            Input::File { file, len } => {
+                // Off Unix the key pass's positioned reads move the cursor.
+                let mut file = file;
+                file.seek(SeekFrom::Start(0))?;
+                Box::new(Exact(file.take(*len)))
+            }
+            Input::Stream(file) => Box::new(file),
+            Input::Bytes(bytes) => Box::new(&bytes[..]),
+        })
     }
 }
 
-fn read_all<R: Read>(mut r: R) -> std::io::Result<Vec<u8>> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    Ok(bytes)
+/// Reads exactly the bytes `Take` allows: running out before the limit
+/// means the file shrank while it was read, which is an error.
+struct Exact<R>(Take<R>);
+
+impl<R: Read> Read for Exact<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.0.read(buf)?;
+        if n == 0 && !buf.is_empty() && self.0.limit() > 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!(
+                    "an input file ended {} bytes short of the length it had when opened; \
+                     it changed during the run",
+                    self.0.limit()
+                ),
+            ));
+        }
+        Ok(n)
+    }
 }
 
-/// Parses `bytes` chunk by chunk on the pool and hands each parsed chunk to
-/// `merge` on the calling thread, in file order. Merging stops at the first
-/// error, which is returned.
-fn parse_chunked<'a, C: Send>(
-    bytes: &'a [u8],
+/// Reads `input` in chunks, parses them on the pool and hands each parsed
+/// chunk to `merge` on the calling thread, in file order. Merging stops at
+/// the first error, which is returned; a read error comes after any merge
+/// error, as it ended the input later in the file.
+fn parse_chunked<R: Read, C: Send>(
+    input: R,
     chunk_bytes: usize,
     threads: usize,
-    parse: impl Fn(&'a [u8]) -> C + Sync,
+    parse: impl Fn(&[u8]) -> C + Sync,
     mut merge: impl FnMut(C) -> Result<(), CliError>,
 ) -> Result<(), CliError> {
     let threads = threads.max(1);
+    let mut chunks = ChunkReader::new(input, chunk_bytes);
     let mut result = Ok(());
     parallel::par_map_streamed(
         threads,
         2 * threads,
-        tokenize::chunks(bytes, chunk_bytes),
+        chunks.by_ref(),
         |chunk| {
             let _span = telemetry::span("ingest.parse", &metrics::PARSE_NS);
-            parse(chunk)
+            parse(&chunk)
         },
         |_, parsed| {
             if result.is_err() {
@@ -119,7 +176,9 @@ fn parse_chunked<'a, C: Send>(
             };
         },
     );
-    result
+    result?;
+    chunks.finish()?;
+    Ok(())
 }
 
 const FIELD_COUNT: &str = "expected 4 tab-separated fields (url, subject, predicate, object)";
@@ -136,26 +195,27 @@ struct UrlRun {
 
 /// A malformed facts record.
 #[derive(Debug)]
-struct LineFault<'a> {
+struct LineFault {
     /// Chunk-relative line number.
     line: usize,
     /// The raw URL text when the URL failed to parse; the file otherwise.
-    source: Option<&'a str>,
+    source: Option<String>,
     message: Cow<'static, str>,
 }
 
-/// One parsed chunk of a facts file.
+/// One parsed chunk of a facts file. It owns everything it holds, so the
+/// chunk's raw bytes can be freed once it is parsed.
 #[derive(Debug)]
-struct FactsChunk<'a> {
-    dict: Dict<'a>,
+struct FactsChunk {
+    dict: Dict,
     triples: Vec<[u32; 3]>,
     runs: Vec<UrlRun>,
-    faults: Vec<LineFault<'a>>,
+    faults: Vec<LineFault>,
     /// Lines in the chunk (data, blank and comment).
     lines: usize,
 }
 
-fn parse_facts_chunk(chunk: &[u8]) -> FactsChunk<'_> {
+fn parse_facts_chunk(chunk: &[u8]) -> FactsChunk {
     let mut dict = Dict::default();
     let mut triples = Vec::new();
     let mut runs: Vec<UrlRun> = Vec::new();
@@ -167,10 +227,10 @@ fn parse_facts_chunk(chunk: &[u8]) -> FactsChunk<'_> {
     // meet in the merge's map.
     let mut run_raw: Option<&str> = None;
     for (line, text) in lines.by_ref() {
-        let mut fault = |source, message: Cow<'static, str>| {
+        let mut fault = |source: Option<&str>, message: Cow<'static, str>| {
             faults.push(LineFault {
                 line,
-                source,
+                source: source.map(str::to_owned),
                 message,
             })
         };
@@ -214,11 +274,7 @@ fn parse_facts_chunk(chunk: &[u8]) -> FactsChunk<'_> {
         if let Some(run) = runs.last_mut() {
             run.len += 1;
         }
-        triples.push([
-            dict.id(Cow::Borrowed(s)),
-            dict.id(Cow::Borrowed(p)),
-            dict.id(Cow::Borrowed(o)),
-        ]);
+        triples.push([dict.id(s), dict.id(p), dict.id(o)]);
     }
     FactsChunk {
         dict,
@@ -249,7 +305,7 @@ impl<'f> FactsMerge<'f> {
         }
     }
 
-    fn push(&mut self, chunk: FactsChunk<'_>, terms: &mut Interner) -> Result<(), CliError> {
+    fn push(&mut self, chunk: FactsChunk, terms: &mut Interner) -> Result<(), CliError> {
         let offset = self.lines;
         self.lines += chunk.lines;
         for fault in chunk.faults {
@@ -258,7 +314,7 @@ impl<'f> FactsMerge<'f> {
                 return Err(CliError::Data(format!("line {line}: {}", fault.message)));
             };
             self.faults.push(SourceFault {
-                source: fault.source.unwrap_or(file).to_owned(),
+                source: fault.source.unwrap_or_else(|| file.to_owned()),
                 stage: Stage::Read,
                 cause: FaultCause::Parse {
                     file: file.to_owned(),
@@ -317,53 +373,53 @@ impl<'f> FactsMerge<'f> {
     }
 }
 
-/// Parses a 4-column facts file's bytes into per-source fact sets, with
-/// `threads` pool workers (see the module docs). The faults are empty on a
-/// strict parse.
-pub fn parse_facts(
-    bytes: &[u8],
+/// Parses a 4-column facts file read from `input` into per-source fact
+/// sets, with `threads` pool workers (see the module docs). The faults are
+/// empty on a strict parse.
+pub fn parse_facts<R: Read>(
+    input: R,
     terms: &mut Interner,
     ingest: Ingest<'_>,
     threads: usize,
 ) -> Result<(Vec<SourceFacts>, Vec<SourceFault>), CliError> {
-    parse_facts_chunked(bytes, terms, ingest, threads, CHUNK_BYTES)
+    parse_facts_chunked(input, terms, ingest, threads, CHUNK_BYTES)
 }
 
 /// [`parse_facts`] with an explicit chunk size (tests vary it to show the
 /// result does not depend on it).
-pub(crate) fn parse_facts_chunked(
-    bytes: &[u8],
+pub(crate) fn parse_facts_chunked<R: Read>(
+    input: R,
     terms: &mut Interner,
     ingest: Ingest<'_>,
     threads: usize,
     chunk_bytes: usize,
 ) -> Result<(Vec<SourceFacts>, Vec<SourceFault>), CliError> {
     let mut merge = FactsMerge::new(ingest);
-    parse_chunked(bytes, chunk_bytes, threads, parse_facts_chunk, |chunk| {
+    parse_chunked(input, chunk_bytes, threads, parse_facts_chunk, |chunk| {
         merge.push(chunk, terms)
     })?;
     Ok(merge.finish())
 }
 
-/// Parses a 3-column KB file's bytes with `threads` pool workers and builds
-/// the knowledge base in bulk.
-pub fn parse_kb(
-    bytes: &[u8],
+/// Parses a 3-column KB file read from `input` with `threads` pool workers
+/// and builds the knowledge base in bulk.
+pub fn parse_kb<R: Read>(
+    input: R,
     terms: &mut Interner,
     threads: usize,
 ) -> Result<KnowledgeBase, CliError> {
-    parse_kb_chunked(bytes, terms, threads, CHUNK_BYTES)
+    parse_kb_chunked(input, terms, threads, CHUNK_BYTES)
 }
 
 /// [`parse_kb`] with an explicit chunk size (tests vary it).
-pub(crate) fn parse_kb_chunked(
-    bytes: &[u8],
+pub(crate) fn parse_kb_chunked<R: Read>(
+    input: R,
     terms: &mut Interner,
     threads: usize,
     chunk_bytes: usize,
 ) -> Result<KnowledgeBase, CliError> {
     let mut merge = TsvMerge::default();
-    parse_chunked(bytes, chunk_bytes, threads, parse_tsv_chunk, |chunk| {
+    parse_chunked(input, chunk_bytes, threads, parse_tsv_chunk, |chunk| {
         merge
             .push(chunk, terms)
             .map_err(|e| CliError::Data(e.to_string()))
@@ -373,31 +429,29 @@ pub(crate) fn parse_kb_chunked(
     Ok(KnowledgeBase::from_facts(&facts))
 }
 
-/// Maps and parses the facts file at `path` (see [`parse_facts`]). The
-/// mapping is released before returning, so a caller that loads the KB
-/// next never holds both files at once.
+/// Opens and parses the facts file at `path` (see [`parse_facts`]).
 pub fn load_facts(
     path: &str,
     terms: &mut Interner,
     ingest: Ingest<'_>,
     threads: usize,
 ) -> Result<(Vec<SourceFacts>, Vec<SourceFault>), CliError> {
-    parse_facts(map_input(path)?.as_bytes(), terms, ingest, threads)
+    parse_facts(Input::open(path)?.reader()?, terms, ingest, threads)
 }
 
-/// Maps and parses the KB file at `path` (see [`parse_kb`]).
+/// Opens and parses the KB file at `path` (see [`parse_kb`]).
 pub fn load_kb(
     path: &str,
     terms: &mut Interner,
     threads: usize,
 ) -> Result<KnowledgeBase, CliError> {
-    parse_kb(map_input(path)?.as_bytes(), terms, threads)
+    parse_kb(Input::open(path)?.reader()?, terms, threads)
 }
 
 /// Reads a 4-column facts file strictly, on one thread. Kept for the
 /// benchmark's traced replay (see [`crate::snapshot_cache::load_inputs`]).
 pub fn read_facts<R: Read>(r: R, terms: &mut Interner) -> Result<Vec<SourceFacts>, CliError> {
-    Ok(parse_facts(&read_all(r)?, terms, Ingest::Strict, 1)?.0)
+    Ok(parse_facts(r, terms, Ingest::Strict, 1)?.0)
 }
 
 /// Writes per-source facts as a 4-column TSV.
@@ -424,7 +478,7 @@ pub fn write_facts<W: Write>(
 /// Reads a 3-column knowledge-base TSV on one thread. Kept for the
 /// benchmark's traced replay (see [`crate::snapshot_cache::load_inputs`]).
 pub fn read_kb<R: Read>(r: R, terms: &mut Interner) -> Result<KnowledgeBase, CliError> {
-    parse_kb(&read_all(r)?, terms, 1)
+    parse_kb(r, terms, 1)
 }
 
 /// Writes a knowledge base as 3-column TSV.
@@ -436,27 +490,34 @@ pub fn write_kb<W: Write>(w: W, terms: &Interner, kb: &KnowledgeBase) -> Result<
 /// `(url, slice_id)` pair forms one gold slice whose entity extent is the
 /// set of entities listed under it. Several slices may share a URL.
 pub fn read_gold<R: Read>(r: R, terms: &mut Interner) -> Result<Vec<GoldSlice>, CliError> {
-    let bytes = read_all(r)?;
     let mut groups: BTreeMap<(SourceUrl, String), Vec<Symbol>> = BTreeMap::new();
-    for (lineno, text) in Lines::new(&bytes) {
-        let text = text.map_err(|e| CliError::Data(format!("line {lineno}: {e}")))?;
-        let mut fields = text.split('\t');
-        let (url, slice_id, entity) =
-            match (fields.next(), fields.next(), fields.next(), fields.next()) {
-                (Some(u), Some(s), Some(e), None) => (u, s, e),
-                _ => {
-                    return Err(CliError::Data(format!(
-                        "line {lineno}: expected 3 tab-separated fields (url, slice_id, entity)"
-                    )))
-                }
-            };
-        let url =
-            SourceUrl::parse(url).map_err(|e| CliError::Data(format!("line {lineno}: {e}")))?;
-        groups
-            .entry((url, slice_id.to_owned()))
-            .or_default()
-            .push(terms.intern(entity));
+    let mut chunks = ChunkReader::new(r, CHUNK_BYTES);
+    let mut offset = 0;
+    for chunk in chunks.by_ref() {
+        let mut lines = Lines::new(&chunk);
+        for (line, text) in lines.by_ref() {
+            let lineno = offset + line;
+            let text = text.map_err(|e| CliError::Data(format!("line {lineno}: {e}")))?;
+            let mut fields = text.split('\t');
+            let (url, slice_id, entity) =
+                match (fields.next(), fields.next(), fields.next(), fields.next()) {
+                    (Some(u), Some(s), Some(e), None) => (u, s, e),
+                    _ => {
+                        return Err(CliError::Data(format!(
+                            "line {lineno}: expected 3 tab-separated fields (url, slice_id, entity)"
+                        )))
+                    }
+                };
+            let url =
+                SourceUrl::parse(url).map_err(|e| CliError::Data(format!("line {lineno}: {e}")))?;
+            groups
+                .entry((url, slice_id.to_owned()))
+                .or_default()
+                .push(terms.intern(entity));
+        }
+        offset += lines.consumed();
     }
+    chunks.finish()?;
     Ok(groups
         .into_iter()
         .map(|((source, slice_id), mut entities)| {
@@ -642,9 +703,14 @@ mod tests {
         for chunk_bytes in [1, 7, 64, usize::MAX] {
             for threads in [1, 3] {
                 let mut terms = Interner::new();
-                let (sources, faults) =
-                    parse_facts_chunked(input, &mut terms, Ingest::Strict, threads, chunk_bytes)
-                        .unwrap();
+                let (sources, faults) = parse_facts_chunked(
+                    &input[..],
+                    &mut terms,
+                    Ingest::Strict,
+                    threads,
+                    chunk_bytes,
+                )
+                .unwrap();
                 assert!(faults.is_empty());
                 let dump: Vec<String> = terms.iter().map(|(_, t)| t.to_owned()).collect();
                 let shape: Vec<(String, usize)> = sources
@@ -717,5 +783,83 @@ mod tests {
         let mut terms2 = Interner::new();
         let back = read_kb(&out[..], &mut terms2).unwrap();
         assert_eq!(back.len(), 2);
+    }
+
+    /// A reader over `bytes` that counts what it has handed out.
+    struct Counting<'a> {
+        bytes: &'a [u8],
+        read: &'a std::cell::Cell<usize>,
+    }
+
+    impl Read for Counting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.bytes.read(buf)?;
+            self.read.set(self.read.get() + n);
+            Ok(n)
+        }
+    }
+
+    /// However long the input, no more than `2 × threads + 1` chunks are
+    /// in memory at once: whenever a chunk is merged, the bytes read but
+    /// not yet merged fit in that many chunks. Each chunk is the target
+    /// plus the rest of one line, and the reader's look-ahead is within
+    /// one chunk.
+    #[test]
+    fn at_most_two_chunks_per_thread_plus_one_are_alive() {
+        const TARGET: usize = 16 << 10;
+        const LINE: usize = 64;
+        let mut input = Vec::new();
+        let mut i = 0;
+        while input.len() < 60 * TARGET {
+            let line = format!("http://a.com/p{}\te{i}\tp\tv{}\n", i % 7, i % 13);
+            assert!(line.len() <= LINE);
+            input.extend_from_slice(line.as_bytes());
+            i += 1;
+        }
+        for threads in [1, 2, 4] {
+            let read = std::cell::Cell::new(0);
+            let mut merged = 0;
+            let mut chunks = 0;
+            parse_chunked(
+                Counting {
+                    bytes: &input,
+                    read: &read,
+                },
+                TARGET,
+                threads,
+                |chunk| chunk.len(),
+                |len| {
+                    let alive = read.get() - merged;
+                    assert!(
+                        alive <= (2 * threads + 1) * (TARGET + LINE),
+                        "threads {threads}: {alive} bytes read and not merged"
+                    );
+                    merged += len;
+                    chunks += 1;
+                    Ok(())
+                },
+            )
+            .unwrap();
+            assert_eq!(merged, input.len());
+            assert!(chunks >= 60, "threads {threads}: {chunks} chunks");
+        }
+    }
+
+    /// A regular file is read up to the length it had when opened: one cut
+    /// short in the meantime is an I/O error, not a shorter corpus.
+    #[test]
+    fn a_file_truncated_after_it_was_opened_is_an_error() {
+        let path = std::env::temp_dir().join(format!("midas_truncated_{}.tsv", std::process::id()));
+        let body = "http://a.com/x\te1\tp\tv1\n".repeat(100);
+        std::fs::write(&path, &body).unwrap();
+        let input = Input::open(path.to_str().unwrap()).unwrap();
+        std::fs::write(&path, &body[..body.len() / 2]).unwrap();
+        let mut terms = Interner::new();
+        let err = parse_facts(input.reader().unwrap(), &mut terms, Ingest::Strict, 1).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        match err {
+            CliError::Io(e) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "{e}"),
+            other => panic!("unexpected error {other:?}"),
+        }
     }
 }

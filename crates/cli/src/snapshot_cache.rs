@@ -2,14 +2,17 @@
 //!
 //! The cache key hashes the raw facts and kb file bytes together with the
 //! snapshot format version ([`midas_extract::cachekey`]), so any edit to
-//! either input, or a format bump, addresses a different snapshot file. A
-//! hit memory-maps the snapshot and skips TSV parsing, sorting, and
-//! fact-table construction entirely; a miss parses and builds as usual,
-//! then writes the snapshot for the next run. A stale or damaged snapshot
-//! is never trusted: it is moved into the cache's `quarantine/` subdirectory
-//! with a reason file ([`crate::cache_dir::CacheDir::quarantine`]) and the
-//! run falls back to cold extraction (mirroring the quarantine philosophy —
-//! degrade loudly, never abort, never corrupt results).
+//! either input, or a format bump, addresses a different snapshot file. The
+//! key pass reads each input with positioned reads through one bounded
+//! buffer; no input is mapped, so what a run holds resident does not grow
+//! with its input files. A hit memory-maps the snapshot and skips TSV
+//! parsing, sorting, and fact-table construction entirely; a miss parses
+//! the same open files again, builds as usual, then writes the snapshot for
+//! the next run. A stale or damaged snapshot is never trusted: it is moved
+//! into the cache's `quarantine/` subdirectory with a reason file
+//! ([`crate::cache_dir::CacheDir::quarantine`]) and the run falls back to
+//! cold extraction (mirroring the quarantine philosophy — degrade loudly,
+//! never abort, never corrupt results).
 //!
 //! The directory is safe to share between concurrent processes: all access
 //! goes through [`CacheDir`]'s advisory locks (shared to read, exclusive to
@@ -27,21 +30,29 @@
 
 use crate::args::CliError;
 use crate::cache_dir::CacheDir;
-use crate::facts_io::{self, Ingest};
+use crate::facts_io::{self, Ingest, Input};
 use midas_core::telemetry;
 use midas_core::{
     faultinject, snapshot, CostModel, DiscoveredSlice, FactTable, SourceFacts, SourceFault,
 };
 use midas_extract::CacheKey;
-use midas_kb::{Interner, KnowledgeBase, Mmap};
+use midas_kb::{Interner, KnowledgeBase};
 use midas_weburl::SourceUrl;
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{self, Read};
 
 /// Cache traffic counters. Byte volumes are sampled from file metadata and
 /// only when telemetry is enabled (the extra stat is not free); the event
 /// counters mirror the human-readable notes one-for-one, so a metrics
-/// snapshot reconciles with the note trailer of the same run.
+/// snapshot reconciles with the note trailer of the same run. One span
+/// each times the key pass, the snapshot lookup, and the slice-report read
+/// and write.
 mod metrics {
+    midas_core::histogram!(pub KEY_NS, "snapshot_cache.key_ns");
+    midas_core::histogram!(pub READ_NS, "snapshot_cache.read_ns");
+    midas_core::histogram!(pub SLICE_READ_NS, "slice_cache.read_ns");
+    midas_core::histogram!(pub SLICE_WRITE_NS, "slice_cache.write_ns");
     midas_core::counter!(pub HITS, "snapshot_cache.hits");
     midas_core::counter!(pub MISSES, "snapshot_cache.misses");
     midas_core::counter!(pub STALE, "snapshot_cache.stale");
@@ -151,6 +162,7 @@ pub fn load_cached_slices(
     terms: &mut Interner,
     notes: &mut Vec<String>,
 ) -> Option<Vec<DiscoveredSlice>> {
+    let _span = telemetry::span("slice_cache.read", &metrics::SLICE_READ_NS);
     let name = slices_name(key);
     let path = session.dir.entry_path(&name);
     let failure;
@@ -190,6 +202,7 @@ pub fn store_slices(
     slices: &[DiscoveredSlice],
     notes: &mut Vec<String>,
 ) {
+    let _span = telemetry::span("slice_cache.write", &metrics::SLICE_WRITE_NS);
     let name = slices_name(key);
     let path = session.dir.entry_path(&name);
     let Ok(_write) = session.dir.exclusive() else {
@@ -250,12 +263,19 @@ pub fn load_inputs_cached(
 /// Parsing runs on `threads` pool workers (see [`facts_io`]); the result
 /// is the same at every thread count.
 ///
-/// The files are parsed one at a time — facts, then kb — and each file's
-/// bytes are released before the next is read, so a cold load never holds
-/// both inputs and every parsed chunk at once. This is the one entry point
-/// the CLI uses; [`load_inputs_cached`], [`facts_io::read_facts`] and
-/// [`facts_io::read_kb`] are one-thread wrappers over the same path, kept
-/// for the benchmark's traced replay until ROADMAP item 3 retires it.
+/// The files are parsed one at a time — facts, then kb — each read in
+/// bounded chunks ([`facts_io`]), so a load never holds an input file in
+/// memory. A cached run opens each input once: the key pass hashes it with
+/// positioned reads through one buffer of 1 MiB, and on a miss ingest
+/// reads the same open file, so a rename that replaces an input between
+/// the two passes cannot mix two inputs. An input that is not a regular
+/// file (a pipe) is read to the end once, and both passes read that
+/// buffer.
+///
+/// This is the one entry point the CLI uses; [`load_inputs_cached`],
+/// [`facts_io::read_facts`] and [`facts_io::read_kb`] are one-thread
+/// wrappers over the same path, kept for the benchmark's traced replay
+/// until ROADMAP item 3 retires it.
 pub fn load_inputs(
     facts_path: &str,
     kb_path: Option<&str>,
@@ -302,21 +322,25 @@ pub fn load_inputs(
         }
     }
 
-    // The key hashes the mapped files in place; on a miss the same
-    // mappings are parsed, so the snapshot holds exactly the hashed bytes.
-    let facts_bytes = facts_io::map_input(facts_path)?;
-    let kb_bytes = kb_path.map(facts_io::map_input).transpose()?;
-    let key = CacheKey::new()
-        .part("facts", facts_bytes.as_bytes())
-        .part("kb", kb_bytes.as_ref().map_or(&[], Mmap::as_bytes))
-        .part("config", b"strict")
-        .finish();
+    let mut facts = Input::open(facts_path)?;
+    let mut kb_input = kb_path.map(Input::open).transpose()?;
+    let key = {
+        let _span = telemetry::span("snapshot_cache.key", &metrics::KEY_NS);
+        let mut buf = vec![0; KEY_BUFFER_BYTES];
+        let key = hash_input(CacheKey::new(), "facts", &mut facts, &mut buf)?;
+        let key = match &mut kb_input {
+            Some(kb) => hash_input(key, "kb", kb, &mut buf)?,
+            None => key.part("kb", &[]),
+        };
+        key.part("config", b"strict").finish()
+    };
     let name = snapshot_name(key);
     let path = cache.entry_path(&name);
 
     let mut hit = None;
     let mut failure = None;
     if let Ok(_read) = cache.shared() {
+        let _span = telemetry::span("snapshot_cache.read", &metrics::READ_NS);
         if path.exists() {
             match snapshot::load_corpus(&path, key) {
                 Ok(corpus) => hit = Some(corpus),
@@ -360,16 +384,15 @@ pub fn load_inputs(
         });
     }
 
-    // Miss (or quarantined snapshot): parse the bytes already in memory,
+    // Miss (or quarantined snapshot): parse the inputs the key pass hashed,
     // build the round-0 tables once, and persist them for the next run. The
     // tables feed straight into the run, so the build is not extra work.
     metrics::MISSES.inc();
     let mut terms = Interner::new();
-    let (sources, _) =
-        facts_io::parse_facts(facts_bytes.as_bytes(), &mut terms, Ingest::Strict, threads)?;
-    drop(facts_bytes);
-    let kb = match kb_bytes {
-        Some(bytes) => facts_io::parse_kb(bytes.as_bytes(), &mut terms, threads)?,
+    let (sources, _) = facts_io::parse_facts(facts.reader()?, &mut terms, Ingest::Strict, threads)?;
+    drop(facts);
+    let kb = match kb_input {
+        Some(input) => facts_io::parse_kb(input.reader()?, &mut terms, threads)?,
         None => KnowledgeBase::new(),
     };
     let tables: Vec<FactTable> = sources.iter().map(|s| FactTable::build(s, &kb)).collect();
@@ -407,6 +430,74 @@ pub fn load_inputs(
         notes,
         session: Some(session),
     })
+}
+
+/// The read buffer of the key pass: one buffer, whatever the inputs' size.
+const KEY_BUFFER_BYTES: usize = 1 << 20;
+
+/// Mixes `input` into `key` as part `label`. A regular file is hashed with
+/// positioned reads through `buf`, against the length it had when opened.
+/// A stream can be read only once, so it is read to the end here and the
+/// buffer replaces it, for ingest to read the hashed bytes again.
+fn hash_input(
+    key: CacheKey,
+    label: &str,
+    input: &mut Input,
+    buf: &mut [u8],
+) -> Result<CacheKey, CliError> {
+    match input {
+        Input::File { file, len } => {
+            hash_part(key, label, *len, buf, |buf, at| read_at(file, buf, at))
+        }
+        Input::Bytes(bytes) => Ok(key.part(label, bytes)),
+        Input::Stream(file) => {
+            let mut bytes = Vec::new();
+            file.read_to_end(&mut bytes)?;
+            let key = key.part(label, &bytes);
+            *input = Input::Bytes(bytes);
+            Ok(key)
+        }
+    }
+}
+
+/// Hashes the `len` bytes that `read_at` returns as part `label`, one
+/// buffer at a time. A source that holds fewer or more bytes than `len` —
+/// a file that changed since its length was taken — is an error, so no
+/// key names bytes that were not hashed.
+fn hash_part(
+    key: CacheKey,
+    label: &str,
+    len: u64,
+    buf: &mut [u8],
+    mut read_at: impl FnMut(&mut [u8], u64) -> io::Result<usize>,
+) -> Result<CacheKey, CliError> {
+    let mut part = key.stream_part(label, len);
+    while part.fed() <= len {
+        match read_at(buf, part.fed()) {
+            Ok(0) => break,
+            Ok(n) => part.feed(&buf[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    part.finish().map_err(|e| {
+        CliError::Io(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("the {label} input changed while the cache key was read: {e}"),
+        ))
+    })
+}
+
+#[cfg(unix)]
+fn read_at(file: &File, buf: &mut [u8], at: u64) -> io::Result<usize> {
+    std::os::unix::fs::FileExt::read_at(file, buf, at)
+}
+
+#[cfg(not(unix))]
+fn read_at(mut file: &File, buf: &mut [u8], at: u64) -> io::Result<usize> {
+    use std::io::{Seek, SeekFrom};
+    file.seek(SeekFrom::Start(at))?;
+    file.read(buf)
 }
 
 fn load_cold(
@@ -687,5 +778,29 @@ mod tests {
         assert_eq!(cached, slices);
         assert!(notes.iter().any(|n| n.contains("slice cache hit")));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The key pass hashes a part one small buffer at a time into the
+    /// one-shot key, and refuses a source holding fewer or more bytes than
+    /// its stated length with a typed error.
+    #[test]
+    fn the_key_pass_refuses_a_source_of_another_length() {
+        let bytes = b"http://a.com/x\te1\tp\tv1\nhttp://b.com\te3\tq\tv3\n";
+        let read_at = |buf: &mut [u8], at: u64| {
+            let rest = bytes.get(at as usize..).unwrap_or(&[]);
+            let n = rest.len().min(buf.len());
+            buf[..n].copy_from_slice(&rest[..n]);
+            Ok(n)
+        };
+        let mut buf = [0u8; 5];
+        let len = bytes.len() as u64;
+        let key = hash_part(CacheKey::new(), "facts", len, &mut buf, read_at).unwrap();
+        assert_eq!(key.finish(), CacheKey::new().part("facts", bytes).finish());
+        for stated in [len + 3, len - 3] {
+            match hash_part(CacheKey::new(), "facts", stated, &mut buf, read_at) {
+                Err(CliError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}"),
+                other => panic!("stated {stated}: {:?}", other.map(CacheKey::finish)),
+            }
+        }
     }
 }

@@ -15,9 +15,11 @@
 //! turn completes, so the caller can release a shard's state eagerly instead
 //! of holding all `n` results until the round ends. Working state is held
 //! only while a task runs, so it is bounded by `threads`; the window bounds
-//! only the results waiting for their turn. The framework's rounds admit
-//! every task (their results are small), and ingest passes `2 × threads` to
-//! bound the parsed chunks awaiting the merge. [`par_map_isolated`] is the
+//! only the results waiting for their turn. Items are pulled from their
+//! iterator only when the window has room. The framework's rounds admit
+//! every task (their results are small); ingest feeds a chunk reader with
+//! a window of `2 × threads`, which bounds the raw and parsed chunks in
+//! memory at once, whatever the file's size. [`par_map_isolated`] is the
 //! window = `n` special case that collects into a vector.
 //!
 //! The pool is **panic-safe**: every task body runs under `catch_unwind`, so
@@ -131,7 +133,7 @@ pub fn effective_threads(threads: usize) -> usize {
 /// A fault raised by one task of a parallel map: which item faulted and why.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskFault {
-    /// Index of the faulting item in the input `items` vector.
+    /// Position of the faulting item in the input `items`.
     pub index: usize,
     /// The converted panic payload (typed budget breaches are preserved).
     pub cause: FaultCause,
@@ -200,32 +202,39 @@ fn finish_slot<R>(index: usize, out: Option<Result<R, FaultCause>>) -> Result<R,
 ///
 /// At most `window` items are admitted at once — in flight on a worker or
 /// buffered awaiting in-order delivery — so at most `window` results are
-/// ever held, not `items.len()`, and at most `threads` tasks run. Each
-/// result is handed to `sink(index, result)` in input order the moment its
-/// turn completes; `sink` runs on the calling thread and is called exactly
-/// once per item, faulted or not.
+/// ever held, not one per item, and at most `threads` tasks run. `items`
+/// is pulled on the calling thread, one item each time the window has
+/// room, so an iterator that produces its items on demand (ingest's chunk
+/// reader) holds at most `window` of them at once too. Each result is
+/// handed to `sink(index, result)` in input order the moment its turn
+/// completes; `sink` runs on the calling thread and is called exactly once
+/// per item, faulted or not.
 ///
 /// Every task runs isolated (see [`par_map_isolated`]); deadline handling,
 /// fault conversion, and the sequential fallback — taken for `threads <= 1`,
 /// fewer than two items, or a call from a pool worker — are identical, so a
 /// streamed run produces bit-identical sink invocations at every
 /// `(window, threads)` combination.
-pub fn par_map_streamed<T, R, F, S>(threads: usize, window: usize, items: Vec<T>, f: F, mut sink: S)
+pub fn par_map_streamed<I, T, R, F, S>(threads: usize, window: usize, items: I, f: F, mut sink: S)
 where
+    I: IntoIterator<Item = T>,
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
     S: FnMut(usize, Result<R, TaskFault>),
 {
-    let n = items.len();
-    // Counted once per map call, not per task: the total stays exact by
-    // the time the call returns (every admitted item reaches the sink)
-    // without an atomic bump on each sub-microsecond task.
-    metrics::TASKS.add(n as u64);
+    let mut items = items.into_iter();
+    // Two items are pulled up front: fewer than two run inline.
+    let first = items.next();
+    let second = first.as_ref().and_then(|_| items.next());
+    let several = second.is_some();
+    let mut feed = first.into_iter().chain(second).chain(items).enumerate();
     let deadline = budget::active_deadline();
     // `effective_threads` last, so 1-thread maps never touch the TLS flag.
-    if threads <= 1 || n <= 1 || effective_threads(threads) <= 1 {
-        for (index, item) in items.into_iter().enumerate() {
+    if threads <= 1 || !several || effective_threads(threads) <= 1 {
+        let mut n = 0;
+        for (index, item) in feed {
+            n = index + 1;
             if let Some(d) = deadline {
                 if Instant::now() >= d {
                     sink(index, finish_slot(index, None));
@@ -243,10 +252,17 @@ where
                 sink(index, finish_slot(index, Some(out)));
             }
         }
+        // Counted once per map call, not per task: the total is exact by
+        // the time the call returns, without an atomic bump on each
+        // sub-microsecond task.
+        metrics::TASKS.add(n as u64);
         return;
     }
 
     let window = window.max(1);
+    let workers = threads
+        .min(window)
+        .min(feed.size_hint().1.unwrap_or(usize::MAX));
     let (task_tx, task_rx) = mpsc::channel::<(usize, T, u64)>();
     // One task queue shared by every worker: a worker holds the lock only
     // while it takes its next task, never while the task body runs. Nothing
@@ -256,7 +272,7 @@ where
     let (res_tx, res_rx) = mpsc::channel::<(usize, Option<Result<R, FaultCause>>)>();
     let cancelled = AtomicBool::new(false);
     thread::scope(|scope| {
-        for _ in 0..threads.min(n).min(window) {
+        for _ in 0..workers {
             let res_tx = res_tx.clone();
             let (f, task_rx, cancelled) = (&f, &task_rx, &cancelled);
             scope.spawn(move || {
@@ -293,14 +309,14 @@ where
             });
         }
         drop(res_tx);
-        let mut feed = items.into_iter().enumerate();
         // Results that completed out of order, keyed by input index. Entries
         // here still count against the window, so buffered memory is bounded
         // by `window` items too.
         let mut pending: BTreeMap<usize, Option<Result<R, FaultCause>>> = BTreeMap::new();
         let mut in_flight = 0usize;
+        let mut admitted = 0usize;
         let mut next = 0usize;
-        while next < n {
+        loop {
             while in_flight < window {
                 match feed.next() {
                     Some((i, item)) => {
@@ -318,14 +334,13 @@ where
                             .send((i, item, enqueued_ns))
                             .expect("the queue outlives the scope");
                         in_flight += 1;
+                        admitted += 1;
                     }
                     None => break,
                 }
             }
             if in_flight == 0 {
-                // Feeder exhausted with nothing outstanding — only reachable
-                // when results were lost to a dead pool; the drain below
-                // fills the remaining slots.
+                // Every item was admitted and delivered.
                 break;
             }
             let msg = match deadline {
@@ -361,14 +376,20 @@ where
         }
         // Close the task queue so workers exit and the scope can join.
         drop(task_tx);
-        // Abandoned-pool drain: deliver any remaining slots (buffered or
-        // never completed) so the sink always sees exactly n calls in order.
-        while next < n {
+        // Abandoned-pool drain: deliver any remaining slots (buffered,
+        // never completed, or never admitted) so the sink always sees
+        // exactly one call per item, in order.
+        while next < admitted {
             let index = next;
             next += 1;
             let out = pending.remove(&index).flatten();
             sink(index, finish_slot(index, out));
         }
+        for (index, _) in feed {
+            next = index + 1;
+            sink(index, finish_slot(index, None));
+        }
+        metrics::TASKS.add(next as u64);
     });
 }
 
@@ -456,7 +477,7 @@ mod tests {
                 par_map_streamed(
                     threads,
                     window,
-                    (0u32..50).collect(),
+                    0u32..50,
                     |x| x * 2,
                     |i, r| {
                         seen.push((i, r.expect("no faults injected")));
@@ -469,6 +490,33 @@ mod tests {
         }
     }
 
+    /// An iterator is pulled only when the window has room: when item `k`
+    /// is delivered, at most `k + window` items have been produced (two at
+    /// the start, which are pulled to choose the sequential path).
+    #[test]
+    fn streamed_pulls_items_only_when_the_window_has_room() {
+        for (threads, window) in [(1usize, 2usize), (2, 4), (4, 8), (4, 3)] {
+            let produced = std::cell::Cell::new(0usize);
+            let items = (0u32..40).inspect(|_| produced.set(produced.get() + 1));
+            let mut delivered = 0usize;
+            par_map_streamed(
+                threads,
+                window,
+                items,
+                |x| x,
+                |i, _| {
+                    assert!(
+                        produced.get() <= i + window.max(2),
+                        "threads {threads}, window {window}: {} produced at delivery {i}",
+                        produced.get()
+                    );
+                    delivered += 1;
+                },
+            );
+            assert_eq!(delivered, 40);
+        }
+    }
+
     #[test]
     fn streamed_window_bounds_admission() {
         use std::sync::atomic::AtomicUsize;
@@ -478,7 +526,7 @@ mod tests {
         par_map_streamed(
             8,
             window,
-            (0u32..40).collect(),
+            0u32..40,
             |x| {
                 let cur = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(cur, Ordering::SeqCst);
@@ -501,7 +549,7 @@ mod tests {
             par_map_streamed(
                 4,
                 window,
-                (0u32..20).collect(),
+                0u32..20,
                 |x| {
                     if x % 5 == 0 {
                         panic!("boom {x}");
@@ -628,7 +676,7 @@ mod tests {
         par_map_streamed(
             4,
             2,
-            (0u32..16).collect(),
+            0u32..16,
             |x| {
                 std::thread::sleep(Duration::from_millis(20));
                 x + 1
@@ -819,7 +867,7 @@ mod tests {
             par_map_streamed(
                 threads,
                 window,
-                (0..n).collect(),
+                0..n,
                 |_| {
                     ids.lock()
                         .expect("no task panics holding it")

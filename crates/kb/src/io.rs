@@ -3,8 +3,9 @@
 //! The format is TSV: `subject \t predicate \t object` with backslash
 //! escapes for tab, newline, and backslash inside terms.
 //!
-//! The reader takes the whole input as bytes and walks it with the shared
-//! line layer ([`crate::tokenize::Lines`]): blank lines and `#` comments
+//! The reader takes the input as bytes, in line-aligned chunks, and walks
+//! it with the shared line layer ([`crate::tokenize::Lines`]): blank lines
+//! and `#` comments
 //! are skipped, and a malformed line — a non-UTF-8 one included — is
 //! reported as [`KbError::Parse`] with its line number. Terms are interned
 //! into a caller-supplied [`Interner`] in first-occurrence order.
@@ -12,15 +13,16 @@
 //! The TSV reader is chunked: [`parse_tsv_chunk`] parses one line-aligned
 //! chunk into a chunk-local dictionary and id triples, touching no shared
 //! state, and [`TsvMerge`] folds chunks in order into facts. [`read_tsv`]
-//! runs the two back to back on one thread; the CLI runs the parse on its
-//! worker pool and merges the same way, so both produce the same symbols.
-//! A field is unescaped only when it holds a backslash; every other term
-//! borrows from the input until it is interned.
+//! reads its input through a [`tokenize::ChunkReader`] and runs the two
+//! back to back on one thread; the CLI runs the parse on its worker pool
+//! and merges the same way, so both produce the same symbols. A field is
+//! unescaped only when it holds a backslash; each distinct term is copied
+//! once into the chunk's dictionary, which does not borrow the chunk.
 
 use crate::error::KbError;
 use crate::fact::Fact;
 use crate::interner::Interner;
-use crate::tokenize::{self, Dict, Lines};
+use crate::tokenize::{self, ChunkReader, Dict, Lines};
 use std::borrow::Cow;
 use std::io::{Read, Write};
 
@@ -97,8 +99,8 @@ pub fn write_tsv<W: Write>(
 /// One parsed chunk of a TSV triple file: its dictionary, its records as
 /// chunk-local id triples, and the first malformed line, if any.
 #[derive(Debug)]
-pub struct TsvChunk<'a> {
-    dict: Dict<'a>,
+pub struct TsvChunk {
+    dict: Dict,
     triples: Vec<[u32; 3]>,
     /// Lines in the chunk (data, blank and comment).
     lines: usize,
@@ -109,7 +111,7 @@ pub struct TsvChunk<'a> {
 /// Parses one line-aligned chunk of a TSV triple file (see
 /// [`tokenize::chunks`]). Parsing stops at the chunk's first malformed
 /// line, which [`TsvMerge::push`] reports.
-pub fn parse_tsv_chunk(chunk: &[u8]) -> TsvChunk<'_> {
+pub fn parse_tsv_chunk(chunk: &[u8]) -> TsvChunk {
     let mut dict = Dict::default();
     let mut triples = Vec::new();
     let mut lines = Lines::new(chunk);
@@ -131,9 +133,9 @@ pub fn parse_tsv_chunk(chunk: &[u8]) -> TsvChunk<'_> {
     }
 }
 
-fn parse_tsv_line<'a>(
-    text: Result<&'a str, tokenize::InvalidUtf8>,
-    dict: &mut Dict<'a>,
+fn parse_tsv_line(
+    text: Result<&str, tokenize::InvalidUtf8>,
+    dict: &mut Dict,
 ) -> Result<[u32; 3], String> {
     let text = text.map_err(|e| e.to_string())?;
     let mut fields = text.split('\t');
@@ -142,7 +144,7 @@ fn parse_tsv_line<'a>(
         _ => return Err("expected exactly three tab-separated fields".into()),
     };
     let (s, p, o) = (unescape_tsv(s)?, unescape_tsv(p)?, unescape_tsv(o)?);
-    Ok([dict.id(s), dict.id(p), dict.id(o)])
+    Ok([dict.id(&s), dict.id(&p), dict.id(&o)])
 }
 
 /// Folds parsed TSV chunks, in file order, into facts.
@@ -156,7 +158,7 @@ impl TsvMerge {
     /// Merges the next chunk: interns its dictionary and appends its facts.
     /// A malformed line fails the merge with its file line number; since
     /// chunks arrive in order, that is the file's first malformed line.
-    pub fn push(&mut self, chunk: TsvChunk<'_>, terms: &mut Interner) -> Result<(), KbError> {
+    pub fn push(&mut self, chunk: TsvChunk, terms: &mut Interner) -> Result<(), KbError> {
         if let Some((line, message)) = chunk.fault {
             return Err(KbError::Parse {
                 line: self.lines + line,
@@ -182,14 +184,14 @@ impl TsvMerge {
 }
 
 /// Reads TSV facts, interning terms into `terms`. Facts come back in file
-/// order, duplicates kept.
-pub fn read_tsv<R: Read>(mut r: R, terms: &mut Interner) -> Result<Vec<Fact>, KbError> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
+/// order, duplicates kept. The input is read one chunk at a time.
+pub fn read_tsv<R: Read>(r: R, terms: &mut Interner) -> Result<Vec<Fact>, KbError> {
+    let mut chunks = ChunkReader::new(r, tokenize::CHUNK_BYTES);
     let mut merge = TsvMerge::default();
-    for chunk in tokenize::chunks(&bytes, tokenize::CHUNK_BYTES) {
-        merge.push(parse_tsv_chunk(chunk), terms)?;
+    for chunk in chunks.by_ref() {
+        merge.push(parse_tsv_chunk(&chunk), terms)?;
     }
+    chunks.finish()?;
     Ok(merge.finish())
 }
 
